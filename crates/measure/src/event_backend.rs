@@ -5,8 +5,8 @@
 //! executes the *same campaign* — same [`Shard`] work list, same
 //! `(scenario seed, campaign seed, pass, cell, sample)` stream-keying
 //! discipline, same per-cell sample counts — but produces every sample by
-//! pushing a probe [`Packet`] through a per-shard discrete-event world
-//! built on [`sixg_netsim::engine::Engine`]:
+//! pushing a [`PROBE_BYTES`]-byte probe through a per-shard discrete-event
+//! world built on [`sixg_netsim::engine::Engine`]:
 //!
 //! * every link carries a [`FifoServer`] (from [`sixg_netsim::queueing`]),
 //!   so serialisation delay and probe-vs-probe queueing are *emergent*
@@ -37,12 +37,11 @@ use bytes::arena::{Arena, Slice};
 use sixg_netsim::dist::{Component, DistSpec, LogNormal, Sample};
 use sixg_netsim::engine::Engine;
 use sixg_netsim::latency::{mean_queue_ms, propagation_ms, transmission_ms, PROCESSING_CV};
-use sixg_netsim::packet::{FlowId, Packet, TrafficClass};
 use sixg_netsim::queueing::FifoServer;
 use sixg_netsim::radio::AccessModel;
 use sixg_netsim::rng::SimRng;
 use sixg_netsim::time::{SimDuration, SimTime};
-use sixg_netsim::topology::LinkId;
+use sixg_netsim::topology::{LinkId, NodeId, Topology};
 use std::cell::RefCell;
 
 /// Wire size of a measurement probe, bytes — the same figure the analytic
@@ -87,7 +86,7 @@ struct Leg {
 /// A probe in flight: its pre-drawn journey (a handle into the shard's
 /// shared leg arena) plus bookkeeping to turn the echo arrival into an RTL
 /// sample.
-struct Probe {
+pub(crate) struct Probe {
     id: usize,
     launched: SimTime,
     next: usize,
@@ -95,14 +94,18 @@ struct Probe {
     air_ms: f64,
 }
 
-/// The per-shard event world: one FIFO server per link, one result slot
-/// per probe, and one arena holding every probe's legs.
+/// The per-shard probe state both event runners share (the fault runner
+/// embeds it next to its control plane): one FIFO server per link, one
+/// result slot per probe, and one arena holding every probe's legs.
+///
+/// A slot stays NaN until its probe's echo returns, so a probe the fault
+/// runner drops as blackholed leaves no sample behind.
 ///
 /// The arena replaces the per-probe `Vec<Leg>` allocations the backend
 /// used to make — one worker-local buffer is recycled across all shards a
 /// worker executes, so the steady-state hot loop performs no allocator
 /// calls for probe journeys.
-struct ProbeWorld {
+pub(crate) struct ProbeWorld {
     links: Vec<FifoServer>,
     results: Vec<f64>,
     legs: Arena<Leg>,
@@ -114,9 +117,82 @@ thread_local! {
     static LEG_ARENA: RefCell<Arena<Leg>> = RefCell::new(Arena::new());
 }
 
+impl AsMut<ProbeWorld> for ProbeWorld {
+    fn as_mut(&mut self) -> &mut ProbeWorld {
+        self
+    }
+}
+
+impl ProbeWorld {
+    /// A world for `probes` probes over `link_count` links, on the
+    /// worker's recycled leg arena.
+    pub(crate) fn new(link_count: usize, probes: usize) -> Self {
+        let mut legs = LEG_ARENA.with(|a| std::mem::take(&mut *a.borrow_mut()));
+        legs.reset();
+        Self { links: vec![FifoServer::new(); link_count], results: vec![f64::NAN; probes], legs }
+    }
+
+    /// Draws probe `id`'s journey from its stream, after the caller drew
+    /// its target: per-leg extra, background queueing and node processing
+    /// over `hops`, then the echo back over the same hop list (the analytic
+    /// backend's rtt = one_way + one_way convention), then the air
+    /// interface RTT. This is the draw order of every event-backend
+    /// sample.
+    #[allow(clippy::too_many_arguments)]
+    pub(crate) fn draw_probe(
+        &mut self,
+        topo: &Topology,
+        extras: &[Component],
+        hops: &[(NodeId, LinkId)],
+        access: &impl AccessModel,
+        rng: &mut SimRng,
+        id: usize,
+        launched: SimTime,
+    ) -> Probe {
+        let mark = self.legs.mark();
+        for _direction in 0..2 {
+            for &(into, link) in hops {
+                let service = transmission_ms(topo, link, PROBE_BYTES);
+                // A `normal` extra spec admits a tiny negative-sample
+                // mass (validate() bounds it at mean ≥ 4σ, ~3e-5 per
+                // draw); clamp it — a negative delay is unphysical and
+                // would panic the SimDuration conversion below.
+                let extra = extras[link.0 as usize].sample(rng).max(0.0);
+                let qmean = mean_queue_ms(topo, link);
+                // Background cross-traffic: exponential at the M/G/1
+                // mean, the analytic sampler's exact convention.
+                let queue = if qmean > 0.0 { -(1.0 - rng.unit()).ln() * qmean } else { 0.0 };
+                let proc_mean = topo.node(into).kind.base_processing_ms();
+                let proc = LogNormal::from_mean_cv(proc_mean, PROCESSING_CV).sample(rng);
+                self.legs.push(Leg {
+                    link,
+                    service: SimDuration::from_millis_f64(service),
+                    after: SimDuration::from_millis_f64(
+                        propagation_ms(topo, link) + extra + queue + proc,
+                    ),
+                });
+            }
+        }
+        let air_ms = access.sample_rtt_ms(rng);
+        Probe { id, launched, next: 0, legs: self.legs.since(mark), air_ms }
+    }
+
+    /// Appends the completed probes' RTL samples to `out` in probe order
+    /// and hands the arena (and its grown capacity) back to the worker.
+    pub(crate) fn finish_into(self, out: &mut Vec<f64>) {
+        out.extend(self.results.iter().copied().filter(|v| !v.is_nan()));
+        LEG_ARENA.with(|a| *a.borrow_mut() = self.legs);
+    }
+}
+
 /// Advances a probe one leg: claim the link's FIFO server now, schedule
 /// the next-hop arrival; on the last leg, record the RTL sample.
-fn advance(eng: &mut Engine<ProbeWorld>, world: &mut ProbeWorld, mut probe: Probe) {
+pub(crate) fn advance<W: AsMut<ProbeWorld> + 'static>(
+    eng: &mut Engine<W>,
+    w: &mut W,
+    mut probe: Probe,
+) {
+    let world = w.as_mut();
     match world.legs.get(probe.legs).get(probe.next).copied() {
         None => {
             let wire_ms = eng.now().since(probe.launched).as_millis_f64();
@@ -174,16 +250,9 @@ impl<'a> EventCampaign<'a> {
         let interval = SimDuration::from_secs_f64(self.campaign.config().sample_interval_s);
         let n = self.campaign.samples_for_dwell(shard.dwell_s);
         let key = self.campaign.shard_key(PHASE_LABEL, shard.pass, shard.cell);
-        let ue = s.ue[&shard.cell];
 
         let mut eng: Engine<ProbeWorld> = Engine::new();
-        let mut world = ProbeWorld {
-            links: vec![FifoServer::new(); s.topo.link_count()],
-            results: vec![f64::NAN; n],
-            legs: LEG_ARENA.with(|a| std::mem::take(&mut *a.borrow_mut())),
-        };
-        world.legs.reset();
-
+        let mut world = ProbeWorld::new(s.topo.link_count(), n);
         let mut launch = SimTime::ZERO;
         for i in 0..n {
             // Every stochastic quantity of probe `i` comes from its own
@@ -193,46 +262,8 @@ impl<'a> EventCampaign<'a> {
             let mut rng = SimRng::for_stream(key.with(i as u64));
             let ti = rng.below(targets.len() as u64) as usize;
             let path = &s.routes[&(shard.cell, ti)];
-            let packet = Packet::new(
-                FlowId(i as u64),
-                i as u64,
-                ue,
-                targets[ti],
-                PROBE_BYTES,
-                TrafficClass::Management,
-                launch,
-            );
-
-            // Forward legs, then the echo back over the same hop list (the
-            // analytic backend's rtt = one_way + one_way convention).
-            let mark = world.legs.mark();
-            for _direction in 0..2 {
-                for &(into, link) in &path.hops {
-                    let service = transmission_ms(&s.topo, link, packet.size_bytes);
-                    // A `normal` extra spec admits a tiny negative-sample
-                    // mass (validate() bounds it at mean ≥ 4σ, ~3e-5 per
-                    // draw); clamp it — a negative delay is unphysical and
-                    // would panic the SimDuration conversion below.
-                    let extra = self.extras[link.0 as usize].sample(&mut rng).max(0.0);
-                    let qmean = mean_queue_ms(&s.topo, link);
-                    // Background cross-traffic: exponential at the M/G/1
-                    // mean, the analytic sampler's exact convention.
-                    let queue = if qmean > 0.0 { -(1.0 - rng.unit()).ln() * qmean } else { 0.0 };
-                    let proc_mean = s.topo.node(into).kind.base_processing_ms();
-                    let proc = LogNormal::from_mean_cv(proc_mean, PROCESSING_CV).sample(&mut rng);
-                    world.legs.push(Leg {
-                        link,
-                        service: SimDuration::from_millis_f64(service),
-                        after: SimDuration::from_millis_f64(
-                            propagation_ms(&s.topo, link) + extra + queue + proc,
-                        ),
-                    });
-                }
-            }
-            let air_ms = access.sample_rtt_ms(&mut rng);
-
             let probe =
-                Probe { id: i, launched: launch, next: 0, legs: world.legs.since(mark), air_ms };
+                world.draw_probe(&s.topo, &self.extras, &path.hops, access, &mut rng, i, launch);
             eng.schedule_at(launch, move |e, w| advance(e, w, probe));
             launch += interval;
         }
@@ -242,12 +273,8 @@ impl<'a> EventCampaign<'a> {
 
         out.clear();
         out.reserve(n);
-        for (i, &rtl) in world.results.iter().enumerate() {
-            debug_assert!(rtl.is_finite(), "probe {i} never completed");
-            out.push(rtl);
-        }
-        // Hand the arena (and its grown capacity) back to the worker.
-        LEG_ARENA.with(|a| *a.borrow_mut() = std::mem::take(&mut world.legs));
+        world.finish_into(out);
+        debug_assert_eq!(out.len(), n, "every probe completes");
     }
 
     /// Runs the full campaign sequentially, shard by shard, reusing one
@@ -268,16 +295,6 @@ impl<'a> EventCampaign<'a> {
 pub(crate) fn event_field(scenario: &Scenario, config: CampaignConfig) -> CellField {
     let ec = EventCampaign::new(scenario, config);
     run_shards(scenario, &ec.shards(), |shard, buf| ec.collect_shard_into(shard, buf))
-}
-
-#[doc(hidden)]
-#[deprecated(
-    note = "superseded by the ExecRequest facade: use `exec::run_field(scenario, config, \
-            ExecBackend::Event)` (or `exec::execute` on a spec); this shim forwards to the \
-            same event runner"
-)]
-pub fn run_event_parallel(scenario: &Scenario, config: CampaignConfig) -> CellField {
-    event_field(scenario, config)
 }
 
 #[cfg(test)]

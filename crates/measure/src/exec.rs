@@ -1,11 +1,9 @@
 //! The unified execution facade: one typed request, one entry point.
 //!
-//! Before this module, every caller hand-picked one of five scattered
-//! entry points (`run_parallel`, `run_backend`, `run_event_parallel`,
-//! `run_faulted_parallel`, `run_checkpointed`) plus the [`Sweep::run`]
-//! path — a zoo with no single surface a daemon could expose, and a
-//! standing silent-drop hazard: nothing rejected a flag combination no
-//! runner honors. This module collapses the zoo into:
+//! Every execution — analytic, event, faulted or checkpointed runs, and
+//! [`Sweep::run`] matrices — goes through one surface a daemon can expose,
+//! and no flag combination that no runner honors is silently dropped. The
+//! module provides:
 //!
 //! * [`ExecRequest`] — a typed, JSON-codable request envelope carrying the
 //!   action (`validate` / `run` / `sweep`), the spec documents, run-level
@@ -17,8 +15,8 @@
 //! * [`execute`] — `ExecRequest → ExecReport`, with dispatch (analytic /
 //!   event / faulted / checkpointed) decided by validated request fields
 //!   instead of caller-chosen function names.
-//! * [`run_field`] — the compiled-scenario entry point the old free
-//!   functions forwarded to; tests, benches and repro bins call this.
+//! * [`run_field`] — the compiled-scenario entry point; tests, benches
+//!   and repro bins call this.
 //! * [`Executor`] + [`ScenarioCache`] — a long-lived execution context
 //!   holding compiled [`Scenario`]s hot, keyed by canonical spec content
 //!   hash ([`scenario_content_hash`]); the `sixg-serve` daemon wraps one
@@ -40,25 +38,31 @@
 use crate::aggregate::CellField;
 use crate::campaign::CampaignConfig;
 use crate::hvt::{self, HvtConfig, HvtReport};
-use crate::parallel::{dispatch_backend, run_items_streaming};
+use crate::parallel::run_items_streaming;
 use crate::report::CellSummary;
 use crate::scenario::{KeyScheme, Scenario};
-use crate::spec::{
-    parse_backend, CampaignDef, Ctx, ErrorCode, ExecBackend, ScenarioSpec, SpecError,
-};
+use crate::spec::{parse_backend, Ctx, ErrorCode, ExecBackend, ScenarioSpec, SpecError};
 use crate::store::{fnv1a64, run_checkpointed, CheckpointConfig, CheckpointError};
 use crate::sweep::{Sweep, SweepRun, SweepSpec, VariantReport, DEFAULT_REQUIREMENT_MS};
 use serde::{Serialize, Value};
 use std::sync::{Arc, Mutex};
 
 /// Runs a compiled scenario's campaign with the chosen backend on the
-/// thread pool — the supported replacement for the deprecated
-/// `run_parallel` / `run_event_parallel` / `run_faulted_parallel` /
-/// `run_backend` free functions. A fault schedule in the spec routes an
-/// event run to the live BGP control plane; the analytic backend samples
-/// closed-form path delays. Bitwise-deterministic at every pool size.
+/// thread pool. Both backends run over the same shard list; they differ
+/// only in how a shard's samples are produced (closed-form draws vs
+/// packet-level event simulation). A fault schedule in the spec routes an
+/// event run to the live BGP control plane. Bitwise-deterministic at every
+/// pool size.
 pub fn run_field(scenario: &Scenario, config: CampaignConfig, backend: ExecBackend) -> CellField {
-    dispatch_backend(scenario, config, backend)
+    match backend {
+        ExecBackend::Analytic => crate::parallel::analytic_field(scenario, config),
+        ExecBackend::Event if scenario.spec.faults.is_empty() => {
+            crate::event_backend::event_field(scenario, config)
+        }
+        // A fault schedule needs the live control plane: same shard list
+        // and stream keys, but routes come from the BGP speakers' RIBs.
+        ExecBackend::Event => crate::faults::faulted_field(scenario, config),
+    }
 }
 
 // ---------------------------------------------------------------------------
@@ -781,10 +785,7 @@ impl ExecReport {
 /// specs that differ only in seed policy or backend share one hash, one
 /// cache entry, and one calibration.
 pub fn scenario_content_hash(spec: &ScenarioSpec) -> u64 {
-    let mut key = spec.clone();
-    key.campaign = CampaignDef::default();
-    key.backend = "analytic".into();
-    fnv1a64(key.to_json().as_bytes())
+    fnv1a64(spec.compile_key().to_json().as_bytes())
 }
 
 /// Default number of compiled scenarios an [`Executor`] keeps hot.
@@ -821,9 +822,7 @@ impl ScenarioCache {
     /// compiles, caches (evicting the least-recently-used entry at
     /// capacity) and returns it.
     pub fn get_or_compile(&mut self, spec: &ScenarioSpec) -> Result<Arc<Scenario>, SpecError> {
-        let mut key = spec.clone();
-        key.campaign = CampaignDef::default();
-        key.backend = "analytic".into();
+        let key = spec.compile_key();
         let hash = fnv1a64(key.to_json().as_bytes());
         self.tick += 1;
         if let Some(e) = self.entries.iter_mut().find(|e| e.hash == hash && e.key == key) {
@@ -1161,39 +1160,6 @@ mod tests {
             .collect()
     }
 
-    /// The deprecated shims and the facade share one runner per backend:
-    /// bit-for-bit equal fields, so migrating a caller can never change
-    /// results.
-    #[test]
-    #[allow(deprecated)]
-    fn shims_match_run_field_bitwise() {
-        let clean = Scenario::from_spec(&flat_spec()).expect("compiles");
-        let flap = Scenario::from_spec(&flap_spec()).expect("compiles");
-        let config = CampaignConfig { passes: 1, ..Default::default() };
-
-        let analytic = run_field(&clean, config, ExecBackend::Analytic);
-        assert_eq!(
-            field_bits(&analytic),
-            field_bits(&crate::parallel::run_parallel(&clean, config)),
-        );
-        assert_eq!(
-            field_bits(&analytic),
-            field_bits(&crate::parallel::run_backend(&clean, config, ExecBackend::Analytic)),
-        );
-
-        let event = run_field(&clean, config, ExecBackend::Event);
-        assert_eq!(
-            field_bits(&event),
-            field_bits(&crate::event_backend::run_event_parallel(&clean, config)),
-        );
-
-        let faulted = run_field(&flap, config, ExecBackend::Event);
-        assert_eq!(
-            field_bits(&faulted),
-            field_bits(&crate::faults::run_faulted_parallel(&flap, config)),
-        );
-    }
-
     /// A minimal wide-scheme spec: one side past [`PACKABLE_GRID_DIM`]
     /// flips the key scheme while keeping the campaign small enough for a
     /// debug-build test.
@@ -1388,6 +1354,16 @@ mod tests {
         let b = cache.get_or_compile(&other).expect("cached");
         assert!(Arc::ptr_eq(&a, &b), "seed policy and backend are not compiled state");
         assert_eq!((cache.hits(), cache.misses()), (1, 1));
+        assert_eq!(scenario_content_hash(&other), scenario_content_hash(&flat_spec()));
+    }
+
+    /// The compile key's hash bytes are pinned: the scenario cache and
+    /// callers that index compiled scenarios by content hash rely on them
+    /// staying put across releases.
+    #[test]
+    fn scenario_content_hash_is_pinned() {
+        assert_eq!(scenario_content_hash(&ScenarioSpec::klagenfurt()), 0xf7b3_1583_4d18_41ee);
+        assert_eq!(scenario_content_hash(&ScenarioSpec::klagenfurt_flap()), 0xf72d_b3da_4735_507d);
     }
 
     #[test]

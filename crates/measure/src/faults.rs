@@ -39,20 +39,17 @@
 
 use crate::aggregate::CellField;
 use crate::campaign::{CampaignConfig, MobileCampaign, Shard};
-use crate::event_backend::{PHASE_LABEL, PROBE_BYTES};
+use crate::event_backend::{advance, ProbeWorld, PHASE_LABEL};
 use crate::parallel::run_items_streaming;
 use crate::scenario::Scenario;
 use sixg_geo::CellId;
-use sixg_netsim::dist::{Component, DistSpec, LogNormal, Sample};
+use sixg_netsim::dist::{Component, DistSpec};
 use sixg_netsim::engine::Engine;
-use sixg_netsim::latency::{mean_queue_ms, propagation_ms, transmission_ms, PROCESSING_CV};
-use sixg_netsim::queueing::FifoServer;
-use sixg_netsim::radio::AccessModel;
 use sixg_netsim::rng::SimRng;
 use sixg_netsim::routing::dynamic::{
     session_down, session_up, sessions_from_topology, ControlPlane, HasControlPlane,
 };
-use sixg_netsim::routing::PathComputer;
+use sixg_netsim::routing::{PathComputer, RoutedPath};
 use sixg_netsim::time::{SimDuration, SimTime};
 use sixg_netsim::topology::{Asn, LinkId, LinkParams, Topology};
 use std::collections::BTreeMap;
@@ -77,31 +74,12 @@ struct LinkChange {
     up: bool,
 }
 
-/// One hop traversal of a probe (the event backend's leg, verbatim).
-#[derive(Debug, Clone, Copy)]
-struct Leg {
-    link: LinkId,
-    service: SimDuration,
-    after: SimDuration,
-}
-
-/// A probe in flight. Unlike the plain backend's, its result slot is an
-/// `Option`: a blackholed probe never produces a sample.
-struct Probe {
-    id: usize,
-    launched: SimTime,
-    next: usize,
-    legs: Vec<Leg>,
-    air_ms: f64,
-}
-
-/// The per-shard world: the BGP control plane, one FIFO server per link,
-/// one optional result slot per probe. `'static`, so control-plane message
-/// events and probe legs share one calendar.
+/// The per-shard world: the BGP control plane next to the event backend's
+/// probe state. `'static`, so control-plane message events and probe legs
+/// share one calendar.
 struct FaultWorld {
     cp: ControlPlane,
-    links: Vec<FifoServer>,
-    results: Vec<Option<f64>>,
+    probes: ProbeWorld,
 }
 
 impl HasControlPlane for FaultWorld {
@@ -113,19 +91,9 @@ impl HasControlPlane for FaultWorld {
     }
 }
 
-/// Advances a probe one leg; on the last leg, records the RTL sample.
-fn advance(eng: &mut Engine<FaultWorld>, world: &mut FaultWorld, mut probe: Probe) {
-    match probe.legs.get(probe.next).copied() {
-        None => {
-            let wire_ms = eng.now().since(probe.launched).as_millis_f64();
-            world.results[probe.id] = Some(wire_ms + probe.air_ms);
-        }
-        Some(leg) => {
-            probe.next += 1;
-            let depart = world.links[leg.link.0 as usize].admit(eng.now(), leg.service);
-            let arrival = depart + leg.after;
-            eng.schedule_at(arrival, move |e, w| advance(e, w, probe));
-        }
+impl AsMut<ProbeWorld> for FaultWorld {
+    fn as_mut(&mut self) -> &mut ProbeWorld {
+        &mut self.probes
     }
 }
 
@@ -300,8 +268,7 @@ impl<'a> FaultCampaign<'a> {
         let mut eng: Engine<FaultWorld> = Engine::new();
         let mut world = FaultWorld {
             cp: ControlPlane::converged_from_topology(&topo, &s.as_graph),
-            links: vec![FifoServer::new(); s.topo.link_count()],
-            results: vec![None; n],
+            probes: ProbeWorld::new(s.topo.link_count(), n),
         };
 
         // The timeline slice that can still affect this shard's probes:
@@ -317,6 +284,16 @@ impl<'a> FaultCampaign<'a> {
             .into_iter()
             .peekable();
 
+        // Resolved routes per target index. A route is a pure function of
+        // the RIBs, the shard-local topology and the target; the RIBs
+        // change only when a BGP message is delivered (which bumps
+        // `messages_delivered` first) or a session flaps, and sessions and
+        // topology change only in `apply_change`. So the memo holds while
+        // `(messages delivered, changes applied)` stays put.
+        let mut routes: Vec<Option<Option<RoutedPath>>> = vec![None; targets.len()];
+        let mut applied = 0usize;
+        let mut filled_under = (world.cp.messages_delivered(), applied);
+
         let mut launch = SimTime::ZERO;
         for i in 0..n {
             while let Some(&(at, change)) = transitions.peek() {
@@ -326,43 +303,37 @@ impl<'a> FaultCampaign<'a> {
                 transitions.next();
                 eng.run_until(&mut world, at);
                 self.apply_change(&mut topo, &mut eng, &mut world, change);
+                applied += 1;
             }
             eng.run_until(&mut world, launch);
+            let state = (world.cp.messages_delivered(), applied);
+            if state != filled_under {
+                routes.fill(None);
+                filled_under = state;
+            }
 
-            // Probe `i`: the plain event backend's exact draw order — ti,
-            // per-leg extras/queue/processing, then air — but the route is
-            // whatever the source AS's RIB holds *now*, stitched over live
-            // links. Per-probe streams make the draws independent of every
-            // other probe's fate.
+            // Probe `i`: the plain event backend's exact draw order, but
+            // the route is whatever the source AS's RIB holds *now*,
+            // stitched over live links. Per-probe streams make the draws
+            // independent of every other probe's fate.
             let mut rng = SimRng::for_stream(key.with(i as u64));
             let ti = rng.below(targets.len() as u64) as usize;
             let target = targets[ti];
-            let routed = world.cp.best_route(src_as, topo.node(target).asn).and_then(|as_path| {
-                PathComputer::new(&topo, &s.as_graph).route_along(ue, target, &as_path)
+            let routed = routes[ti].get_or_insert_with(|| {
+                world.cp.best_route(src_as, topo.node(target).asn).and_then(|as_path| {
+                    PathComputer::new(&topo, &s.as_graph).route_along(ue, target, &as_path)
+                })
             });
             if let Some(path) = routed {
-                let mut legs = Vec::with_capacity(2 * path.hops.len());
-                for _direction in 0..2 {
-                    for &(into, link) in &path.hops {
-                        let service = transmission_ms(&topo, link, PROBE_BYTES);
-                        let extra = self.extras[link.0 as usize].sample(&mut rng).max(0.0);
-                        let qmean = mean_queue_ms(&topo, link);
-                        let queue =
-                            if qmean > 0.0 { -(1.0 - rng.unit()).ln() * qmean } else { 0.0 };
-                        let proc_mean = topo.node(into).kind.base_processing_ms();
-                        let proc =
-                            LogNormal::from_mean_cv(proc_mean, PROCESSING_CV).sample(&mut rng);
-                        legs.push(Leg {
-                            link,
-                            service: SimDuration::from_millis_f64(service),
-                            after: SimDuration::from_millis_f64(
-                                propagation_ms(&topo, link) + extra + queue + proc,
-                            ),
-                        });
-                    }
-                }
-                let air_ms = access.sample_rtt_ms(&mut rng);
-                let probe = Probe { id: i, launched: launch, next: 0, legs, air_ms };
+                let probe = world.probes.draw_probe(
+                    &topo,
+                    &self.extras,
+                    &path.hops,
+                    access,
+                    &mut rng,
+                    i,
+                    launch,
+                );
                 advance(&mut eng, &mut world, probe);
             }
             launch += interval;
@@ -371,11 +342,11 @@ impl<'a> FaultCampaign<'a> {
         debug_assert_eq!(eng.pending(), 0);
 
         out.clear();
-        out.extend(world.results.iter().filter_map(|r| *r));
+        world.probes.finish_into(out);
     }
 
     /// Runs the full campaign sequentially, shard by shard (bitwise
-    /// identical to [`run_faulted_parallel`]).
+    /// identical to the parallel runner behind [`crate::exec::run_field`]).
     pub fn run(&self) -> CellField {
         let mut field = CellField::new(self.campaign.scenario().grid.clone());
         let mut buf = Vec::new();
@@ -407,16 +378,6 @@ pub(crate) fn faulted_field(scenario: &Scenario, config: CampaignConfig) -> Cell
         },
     );
     field
-}
-
-#[doc(hidden)]
-#[deprecated(
-    note = "superseded by the ExecRequest facade: use `exec::run_field(scenario, config, \
-            ExecBackend::Event)` on a fault-bearing spec (or `exec::execute`); this shim \
-            forwards to the same faulted runner"
-)]
-pub fn run_faulted_parallel(scenario: &Scenario, config: CampaignConfig) -> CellField {
-    faulted_field(scenario, config)
 }
 
 #[cfg(test)]

@@ -13,7 +13,6 @@
 use crate::aggregate::CellField;
 use crate::campaign::{CampaignConfig, MobileCampaign, Shard};
 use crate::scenario::Scenario;
-use crate::spec::ExecBackend;
 use rayon::prelude::*;
 
 /// Runs the campaign on the thread pool, sharding at (pass, cell)
@@ -22,16 +21,6 @@ use rayon::prelude::*;
 pub(crate) fn analytic_field(scenario: &Scenario, config: CampaignConfig) -> CellField {
     let campaign = MobileCampaign::new(scenario, config);
     run_shards(scenario, &campaign.shards(), |shard, buf| campaign.collect_shard_into(shard, buf))
-}
-
-#[doc(hidden)]
-#[deprecated(
-    note = "superseded by the ExecRequest facade: use `exec::run_field(scenario, config, \
-            ExecBackend::Analytic)` (or `exec::execute` on a spec); this shim forwards to \
-            the same analytic runner"
-)]
-pub fn run_parallel(scenario: &Scenario, config: CampaignConfig) -> CellField {
-    analytic_field(scenario, config)
 }
 
 /// Work items sampled per streaming round before folding — the memory
@@ -106,35 +95,6 @@ pub(crate) fn run_shards_sequential(
         }
     }
     field
-}
-
-/// Runs the campaign with the chosen execution backend — both run on the
-/// thread pool over the same shard list and both are bitwise-deterministic
-/// at every pool size; they differ only in how a shard's samples are
-/// produced (closed-form draws vs packet-level event simulation).
-pub(crate) fn dispatch_backend(
-    scenario: &Scenario,
-    config: CampaignConfig,
-    backend: ExecBackend,
-) -> CellField {
-    match backend {
-        ExecBackend::Analytic => analytic_field(scenario, config),
-        ExecBackend::Event if scenario.spec.faults.is_empty() => {
-            crate::event_backend::event_field(scenario, config)
-        }
-        // A fault schedule needs the live control plane: same shard list
-        // and stream keys, but routes come from the BGP speakers' RIBs.
-        ExecBackend::Event => crate::faults::faulted_field(scenario, config),
-    }
-}
-
-#[doc(hidden)]
-#[deprecated(
-    note = "superseded by the ExecRequest facade: use `exec::run_field(scenario, config, \
-            backend)` (or `exec::execute` on a spec); this shim forwards to the same dispatch"
-)]
-pub fn run_backend(scenario: &Scenario, config: CampaignConfig, backend: ExecBackend) -> CellField {
-    dispatch_backend(scenario, config, backend)
 }
 
 /// Result of one seed of a multi-seed sweep.

@@ -977,6 +977,19 @@ impl ScenarioSpec {
         serde_json::to_string_pretty(self).expect("spec serialises")
     }
 
+    /// The spec's compile key: the spec with campaign parameters and
+    /// backend reset, because [`crate::scenario::Scenario::from_spec`]
+    /// consumes neither. Specs that differ only there compile to the same
+    /// scenario, so sweep planning, the scenario cache and its content
+    /// hash all deduplicate on this key.
+    pub(crate) fn compile_key(&self) -> ScenarioSpec {
+        ScenarioSpec {
+            campaign: CampaignDef::default(),
+            backend: "analytic".into(),
+            ..self.clone()
+        }
+    }
+
     /// Index into [`Self::links`] of the link a fault references
     /// (order-insensitive endpoints), if declared. Spec links compile to
     /// `LinkId(index)` in declaration order, so this index doubles as the

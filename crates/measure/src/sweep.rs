@@ -51,9 +51,7 @@ use crate::faults::{FaultCampaign, FaultShard};
 use crate::parallel::run_items_streaming;
 use crate::report::CellSummary;
 use crate::scenario::Scenario;
-use crate::spec::{
-    parse_backend, CampaignDef, Ctx, ErrorCode, ExecBackend, ScenarioSpec, SpecError,
-};
+use crate::spec::{parse_backend, Ctx, ErrorCode, ExecBackend, ScenarioSpec, SpecError};
 use serde::{Serialize, Value};
 use std::sync::Arc;
 
@@ -749,9 +747,7 @@ impl Sweep {
             scenarios: &mut Vec<Arc<Scenario>>,
             cache: &mut Option<&mut ScenarioCache>,
         ) -> Result<usize, SpecError> {
-            let mut key = spec.clone();
-            key.campaign = CampaignDef::default();
-            key.backend = "analytic".into();
+            let key = spec.compile_key();
             if let Some(i) = canon.iter().position(|k| *k == key) {
                 return Ok(i);
             }

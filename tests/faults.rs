@@ -15,14 +15,19 @@
 //!   valley-free — the Gao–Rexford export discipline holds not just for
 //!   winners but for everything the speakers accepted;
 //! * the fault-bearing campaign runner must produce identical *reports*
-//!   (JSON summary and CSV, byte for byte) at pool sizes 1, 2 and 4.
+//!   (JSON summary and CSV, byte for byte) at pool sizes 1, 2 and 4;
+//! * probes launched into a half-converged control plane (a fine cadence
+//!   straddling a fault or its recovery) keep pinned sample counts and
+//!   sample bits.
 
-use sixg::measure::campaign::CampaignConfig;
+use sixg::measure::campaign::{CampaignConfig, Shard};
 use sixg::measure::exec::run_field;
+use sixg::measure::faults::{FaultCampaign, FaultShard};
 use sixg::measure::parallel::with_thread_count;
 use sixg::measure::report::{to_csv, CampaignSummary};
 use sixg::measure::scenario::Scenario;
 use sixg::measure::spec::ScenarioSpec;
+use sixg::measure::store::fnv1a64;
 use sixg::measure::ExecBackend;
 use sixg::netsim::rng::SimRng;
 use sixg::netsim::routing::bgp::AsGraph;
@@ -198,4 +203,33 @@ fn flap_campaign_reports_are_identical_at_1_2_4_threads() {
         );
         assert_eq!(to_csv(&field), ref_csv, "{threads}-thread CSV report differs");
     }
+}
+
+/// Count and FNV-1a hash of the sample bits of one `klagenfurt_flap`
+/// reference-cell shard at a 2 ms cadence starting `t0_s` into the pass.
+fn fine_cadence_shard(t0_s: f64) -> (usize, u64) {
+    let s = Scenario::from_spec(&ScenarioSpec::klagenfurt_flap()).expect("compiles");
+    let config = CampaignConfig { seed: 2, passes: 1, sample_interval_s: 0.002 };
+    let fc = FaultCampaign::new(&s, config);
+    let fs = FaultShard { shard: Shard { pass: 0, cell: s.reference_cell, dwell_s: 0.4 }, t0_s };
+    let mut out = Vec::new();
+    fc.collect_shard_into(fs, &mut out);
+    let bytes: Vec<u8> = out.iter().flat_map(|v| v.to_bits().to_le_bytes()).collect();
+    (out.len(), fnv1a64(&bytes))
+}
+
+/// BGP messages take `CONTROL_DELAY` (10 ms) per hop, so a 2 ms cadence
+/// launches probes into the half-converged control plane right after the
+/// `klagenfurt_flap` fault at 900 s and its recovery at 2500 s: some see a
+/// withdrawn route that no live link can carry (dropped), some a route the
+/// source has not yet replaced. Each probe must resolve against the RIB
+/// as it stands at its own launch; the pins hold that bit for bit.
+#[test]
+fn mid_transient_probes_resolve_against_the_live_rib() {
+    // 200 launches each; the fault drops the 5 probes that the source
+    // AS still routes over the dead link before its withdraw arrives.
+    assert_eq!(fine_cadence_shard(899.9), (195, 0x3a61_8c0c_ad2c_17ff), "straddling the fault");
+    // On recovery the backup route stays usable until the restored one
+    // propagates, so no probe drops — but the route shifts mid-shard.
+    assert_eq!(fine_cadence_shard(2499.9), (200, 0x633a_5a69_f9f8_22e4), "straddling recovery");
 }
