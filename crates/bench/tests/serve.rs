@@ -9,6 +9,7 @@
 
 use sixg_bench::serve_client::ServeClient;
 use sixg_measure::exec::{execute, ExecRequest};
+use sixg_measure::klagenfurt::klagenfurt_spec;
 use sixg_measure::spec::ScenarioSpec;
 use sixg_measure::sweep::SweepSpec;
 use std::io::{BufRead, BufReader};
@@ -55,7 +56,7 @@ impl Drop for Daemon {
 
 /// One-pass Klagenfurt: the fast fixture every request below builds on.
 fn flat_spec() -> ScenarioSpec {
-    let mut spec = ScenarioSpec::klagenfurt();
+    let mut spec = klagenfurt_spec().clone();
     spec.campaign.passes = 1;
     spec
 }

@@ -301,10 +301,9 @@ pub(crate) fn event_field(scenario: &Scenario, config: CampaignConfig) -> CellFi
 mod tests {
     use super::*;
     use crate::exec::run_field;
-    use crate::klagenfurt::KlagenfurtScenario;
+    use crate::klagenfurt::{klagenfurt_spec, KlagenfurtScenario};
     use crate::parallel::with_thread_count;
     use crate::spec::ExecBackend;
-    use crate::spec::ScenarioSpec;
 
     fn scenario() -> KlagenfurtScenario {
         KlagenfurtScenario::paper(0x6B6C_7531)
@@ -381,7 +380,7 @@ mod tests {
     /// run clean end to end.
     #[test]
     fn normal_extra_distribution_runs_clean_on_the_event_backend() {
-        let mut spec = ScenarioSpec::klagenfurt();
+        let mut spec = klagenfurt_spec().clone();
         for link in &mut spec.links {
             link.extra = sixg_netsim::dist::DistSpec::Normal { mean_ms: 4.0, std_ms: 1.0 };
         }
@@ -401,7 +400,7 @@ mod tests {
     fn saturating_cadence_produces_emergent_queueing() {
         // A narrowband scenario: the UE uplink serialises a 64-byte probe
         // in 6.4 ms, so a 1 ms cadence is ~13× oversubscribed round trip.
-        let mut spec = ScenarioSpec::klagenfurt();
+        let mut spec = klagenfurt_spec().clone();
         spec.ue.bandwidth_bps = 80_000.0;
         let s = Scenario::from_spec(&spec).expect("compiles");
 

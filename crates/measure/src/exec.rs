@@ -1138,16 +1138,19 @@ pub(crate) fn checkpoint_spec_error(e: CheckpointError) -> SpecError {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::klagenfurt::{klagenfurt_flap_spec, klagenfurt_spec};
+    use crate::megacity::megacity_spec;
     use crate::parallel::with_thread_count;
+    use crate::skopje::skopje_spec;
 
     fn flat_spec() -> ScenarioSpec {
-        let mut spec = ScenarioSpec::klagenfurt();
+        let mut spec = klagenfurt_spec().clone();
         spec.campaign.passes = 1;
         spec
     }
 
     fn flap_spec() -> ScenarioSpec {
-        let mut spec = ScenarioSpec::klagenfurt_flap();
+        let mut spec = klagenfurt_flap_spec().clone();
         spec.campaign.passes = 1;
         spec
     }
@@ -1164,7 +1167,7 @@ mod tests {
     /// flips the key scheme while keeping the campaign small enough for a
     /// debug-build test.
     fn wide_spec() -> ScenarioSpec {
-        let mut spec = ScenarioSpec::skopje();
+        let mut spec = skopje_spec().clone();
         spec.name = "wide-test".into();
         spec.grid.cols = 257;
         spec.grid.rows = 12;
@@ -1315,13 +1318,8 @@ mod tests {
 
     #[test]
     fn committed_specs_key_the_cache_without_collisions() {
-        let specs = [
-            ScenarioSpec::klagenfurt(),
-            ScenarioSpec::klagenfurt_flap(),
-            ScenarioSpec::skopje(),
-            ScenarioSpec::megacity(),
-        ];
-        let hashes: Vec<u64> = specs.iter().map(scenario_content_hash).collect();
+        let specs = [klagenfurt_spec(), klagenfurt_flap_spec(), skopje_spec(), megacity_spec()];
+        let hashes: Vec<u64> = specs.iter().copied().map(scenario_content_hash).collect();
         for i in 0..hashes.len() {
             for j in i + 1..hashes.len() {
                 assert_ne!(
@@ -1333,11 +1331,11 @@ mod tests {
         }
 
         let mut cache = ScenarioCache::new(8);
-        for spec in &specs {
+        for spec in specs {
             cache.get_or_compile(spec).expect("compiles");
         }
         assert_eq!((cache.len(), cache.hits(), cache.misses()), (4, 0, 4));
-        for spec in &specs {
+        for spec in specs {
             cache.get_or_compile(spec).expect("cached");
         }
         assert_eq!((cache.len(), cache.hits(), cache.misses()), (4, 4, 4));
@@ -1362,8 +1360,8 @@ mod tests {
     /// staying put across releases.
     #[test]
     fn scenario_content_hash_is_pinned() {
-        assert_eq!(scenario_content_hash(&ScenarioSpec::klagenfurt()), 0xf7b3_1583_4d18_41ee);
-        assert_eq!(scenario_content_hash(&ScenarioSpec::klagenfurt_flap()), 0xf72d_b3da_4735_507d);
+        assert_eq!(scenario_content_hash(klagenfurt_spec()), 0xf7b3_1583_4d18_41ee);
+        assert_eq!(scenario_content_hash(klagenfurt_flap_spec()), 0xf72d_b3da_4735_507d);
     }
 
     #[test]
@@ -1383,18 +1381,16 @@ mod tests {
     #[test]
     fn cache_evicts_least_recently_used_at_capacity() {
         let mut cache = ScenarioCache::new(2);
-        let kla = ScenarioSpec::klagenfurt();
-        let flap = ScenarioSpec::klagenfurt_flap();
-        let sko = ScenarioSpec::skopje();
-        cache.get_or_compile(&kla).expect("kla");
-        cache.get_or_compile(&flap).expect("flap");
-        cache.get_or_compile(&kla).expect("kla again"); // flap is now LRU
-        cache.get_or_compile(&sko).expect("sko evicts flap");
+        let (kla, flap, sko) = (klagenfurt_spec(), klagenfurt_flap_spec(), skopje_spec());
+        cache.get_or_compile(kla).expect("kla");
+        cache.get_or_compile(flap).expect("flap");
+        cache.get_or_compile(kla).expect("kla again"); // flap is now LRU
+        cache.get_or_compile(sko).expect("sko evicts flap");
         assert_eq!(cache.len(), 2);
         assert_eq!(cache.misses(), 3);
-        cache.get_or_compile(&kla).expect("kla stays");
+        cache.get_or_compile(kla).expect("kla stays");
         assert_eq!(cache.hits(), 2, "klagenfurt must have survived the eviction");
-        cache.get_or_compile(&flap).expect("flap recompiles");
+        cache.get_or_compile(flap).expect("flap recompiles");
         assert_eq!(cache.misses(), 4, "the flap spec must have been evicted");
     }
 

@@ -384,8 +384,9 @@ pub(crate) fn faulted_field(scenario: &Scenario, config: CampaignConfig) -> Cell
 mod tests {
     use super::*;
     use crate::event_backend::EventCampaign;
+    use crate::klagenfurt::{klagenfurt_flap_spec, klagenfurt_spec};
     use crate::parallel::with_thread_count;
-    use crate::spec::{FaultDef, ScenarioSpec};
+    use crate::spec::FaultDef;
 
     fn config() -> CampaignConfig {
         CampaignConfig { seed: 2, passes: 1, sample_interval_s: 2.0 }
@@ -405,7 +406,7 @@ mod tests {
     /// is the plain event backend, bit for bit.
     #[test]
     fn fault_free_run_is_bitwise_the_plain_event_backend() {
-        let mut spec = ScenarioSpec::klagenfurt();
+        let mut spec = klagenfurt_spec().clone();
         spec.backend = "event".into();
         let s = Scenario::from_spec(&spec).expect("compiles");
         let faulted = FaultCampaign::new(&s, config()).run();
@@ -419,8 +420,8 @@ mod tests {
     /// whose window starts after recovery is bitwise the unfaulted run.
     #[test]
     fn flap_shifts_routes_in_outage_and_recovers_bitwise() {
-        let spec = ScenarioSpec::klagenfurt_flap();
-        let s = Scenario::from_spec(&spec).expect("compiles");
+        let spec = klagenfurt_flap_spec();
+        let s = Scenario::from_spec(spec).expect("compiles");
         let fc = FaultCampaign::new(&s, config());
         let ec = EventCampaign::new(&s, config());
         let cell = s.reference_cell;
@@ -455,7 +456,7 @@ mod tests {
     /// dropped probes shrink the sample count instead of panicking.
     #[test]
     fn unrecovered_egress_fault_blackholes_later_probes() {
-        let mut spec = ScenarioSpec::klagenfurt();
+        let mut spec = klagenfurt_spec().clone();
         spec.backend = "event".into();
         spec.faults = vec![FaultDef {
             link: ["op-cgnat-klu".into(), "dp-edge-vie".into()],
@@ -488,8 +489,8 @@ mod tests {
     /// parallel are bitwise equal at pool sizes 1, 2 and 4.
     #[test]
     fn faulted_parallel_equals_sequential_bitwise() {
-        let spec = ScenarioSpec::klagenfurt_flap();
-        let s = Scenario::from_spec(&spec).expect("compiles");
+        let spec = klagenfurt_flap_spec();
+        let s = Scenario::from_spec(spec).expect("compiles");
         let seq = FaultCampaign::new(&s, config()).run();
         for &threads in &[1usize, 2, 4] {
             let par = with_thread_count(threads, || {
@@ -504,8 +505,8 @@ mod tests {
     /// pre-fault and post-recovery cells clean in every pass.
     #[test]
     fn untouched_cells_classify_the_timeline() {
-        let spec = ScenarioSpec::klagenfurt_flap();
-        let s = Scenario::from_spec(&spec).expect("compiles");
+        let spec = klagenfurt_flap_spec();
+        let s = Scenario::from_spec(spec).expect("compiles");
         let fc = FaultCampaign::new(&s, config());
         assert_eq!(fc.outages(), vec![(900.0, Some(2500.0))]);
         let untouched = fc.untouched_cells(5.0);
@@ -523,7 +524,7 @@ mod tests {
         let se = Scenario::from_spec(&eternal).expect("compiles");
         assert!(FaultCampaign::new(&se, config()).untouched_cells(5.0).is_empty());
 
-        let mut none = spec;
+        let mut none = spec.clone();
         none.faults = Vec::new();
         let sn = Scenario::from_spec(&none).expect("compiles");
         let fc = FaultCampaign::new(&sn, config());
@@ -535,7 +536,7 @@ mod tests {
     /// link recovers only when the last fault holding it down recovers.
     #[test]
     fn overlapping_faults_merge_into_union_outage() {
-        let mut spec = ScenarioSpec::klagenfurt();
+        let mut spec = klagenfurt_spec().clone();
         spec.backend = "event".into();
         spec.faults = vec![
             FaultDef {

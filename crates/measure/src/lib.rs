@@ -68,7 +68,10 @@
 //!   (the paper's future-work promise to expand the geographic scope),
 //!   wrapper over `specs/skopje.json`;
 //! * [`megacity`] — a dense 10 × 10 synthetic sector with a local-peering
-//!   topology variant, wrapper over `specs/megacity.json`.
+//!   topology variant, wrapper over `specs/megacity.json`;
+//! * [`continental`] — the 1000 × 1000-cell mega-grid under the wide key
+//!   scheme (the `repro_colossal` workload), wrapper over
+//!   `specs/continental.json`.
 
 pub mod aggregate;
 pub mod campaign;

@@ -132,16 +132,6 @@ impl TargetField {
         sum / n as f64
     }
 
-    /// The mean matrix as row-major rows (the spec's explicit form).
-    pub fn mean_rows(&self) -> Vec<Vec<f64>> {
-        self.mean.chunks(self.cols as usize).map(<[f64]>::to_vec).collect()
-    }
-
-    /// The σ matrix as row-major rows.
-    pub fn std_rows(&self) -> Vec<Vec<f64>> {
-        self.std.chunks(self.cols as usize).map(<[f64]>::to_vec).collect()
-    }
-
     /// Evaluates a spec's target definition over a grid, masking skipped
     /// cells to `0.0`.
     pub fn from_def(def: &TargetDef, grid: &GridSpec, skipped: &[CellId]) -> Self {
@@ -647,13 +637,11 @@ mod tests {
     use super::*;
 
     #[test]
-    fn target_field_round_trips_rows() {
+    fn target_field_reads_rows() {
         let mean = vec![vec![0.0, 61.0], vec![70.0, 0.0]];
         let std = vec![vec![0.0, 4.1], vec![8.5, 0.0]];
-        let t = TargetField::from_rows(mean.clone(), std.clone());
+        let t = TargetField::from_rows(mean, std);
         assert_eq!(t.dims(), (2, 2));
-        assert_eq!(t.mean_rows(), mean);
-        assert_eq!(t.std_rows(), std);
         assert_eq!(t.mean_of(CellId::new(1, 0)), 61.0);
         assert_eq!(t.std_of(CellId::new(0, 1)), 8.5);
         assert!(t.traversed(CellId::new(1, 0)));

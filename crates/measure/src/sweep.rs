@@ -1188,11 +1188,12 @@ impl SweepRun {
 mod tests {
     use super::*;
     use crate::exec::run_field;
+    use crate::klagenfurt::klagenfurt_spec;
     use crate::parallel::with_thread_count;
 
     /// A Klagenfurt base trimmed to `passes` traversals, as JSON.
     fn base_json(passes: u32) -> String {
-        let mut spec = ScenarioSpec::klagenfurt();
+        let mut spec = klagenfurt_spec().clone();
         spec.campaign.passes = passes;
         spec.to_json()
     }

@@ -181,12 +181,12 @@ fn poisoned_worker_leaves_fault_campaigns_usable_and_deterministic() {
     use rayon::prelude::*;
     use sixg::measure::campaign::CampaignConfig;
     use sixg::measure::exec::run_field;
+    use sixg::measure::klagenfurt::klagenfurt_flap_spec;
     use sixg::measure::parallel::with_thread_count;
     use sixg::measure::scenario::Scenario;
-    use sixg::measure::spec::ScenarioSpec;
     use sixg::measure::ExecBackend;
 
-    let s = Scenario::from_spec(&ScenarioSpec::klagenfurt_flap()).expect("compiles");
+    let s = Scenario::from_spec(klagenfurt_flap_spec()).expect("compiles");
     let config = CampaignConfig { seed: 2, passes: 1, sample_interval_s: 2.0 };
     let undisturbed = with_thread_count(4, || run_field(&s, config, ExecBackend::Event));
 

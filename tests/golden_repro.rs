@@ -23,10 +23,9 @@ use sixg::core::gap::GapReport;
 use sixg::core::requirements::campaign_reference_requirement;
 use sixg::measure::campaign::{CampaignConfig, MobileCampaign};
 use sixg::measure::exec::run_field;
-use sixg::measure::klagenfurt::KlagenfurtScenario;
+use sixg::measure::klagenfurt::{klagenfurt_flap_spec, KlagenfurtScenario};
 use sixg::measure::parallel::{seed_sweep, with_thread_count};
 use sixg::measure::scenario::Scenario;
-use sixg::measure::spec::ScenarioSpec;
 use sixg::measure::ExecBackend;
 use std::sync::OnceLock;
 
@@ -92,7 +91,7 @@ fn compute_goldens() -> Vec<(&'static str, f64)> {
     // control plane (one pass keeps the suite fast; the in-outage detour
     // shift makes these bits sensitive to every layer from the BGP
     // message order down to the per-probe draws).
-    let flap = Scenario::from_spec(&ScenarioSpec::klagenfurt_flap()).expect("flap spec compiles");
+    let flap = Scenario::from_spec(klagenfurt_flap_spec()).expect("flap spec compiles");
     let flap_field = run_field(
         &flap,
         CampaignConfig { seed: DENSE_SEED, passes: 1, sample_interval_s: 2.0 },

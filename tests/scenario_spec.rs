@@ -1,6 +1,6 @@
 //! Integration suite for the declarative scenario subsystem.
 //!
-//! Three contracts, end to end over the *committed files* in `specs/`:
+//! Four contracts, end to end over the *committed files* in `specs/`:
 //!
 //! 1. **Round-trip stability** — serialise → deserialise → build is
 //!    bitwise-stable: a spec that went through JSON text compiles into a
@@ -13,6 +13,10 @@
 //! 3. **Malformed specs fail usefully** — overlapping cells, negative
 //!    delays, unknown hop references and friends are rejected with errors
 //!    that name the JSON path and say what to fix.
+//! 4. **Canonical form** — the files are the only definition of the
+//!    built-in scenarios, so each must be byte-identical to its parsed
+//!    value re-serialised: a hand edit stays in the form every other
+//!    change to the file is diffed against.
 
 use sixg::measure::campaign::CampaignConfig;
 use sixg::measure::exec::run_field;
@@ -24,9 +28,12 @@ fn spec_path(name: &str) -> String {
     format!("{}/specs/{name}.json", env!("CARGO_MANIFEST_DIR"))
 }
 
+fn read(name: &str) -> String {
+    std::fs::read_to_string(spec_path(name)).expect("committed spec file readable")
+}
+
 fn load(name: &str) -> ScenarioSpec {
-    let text = std::fs::read_to_string(spec_path(name)).expect("committed spec file readable");
-    ScenarioSpec::from_json(&text).expect("committed spec file parses")
+    ScenarioSpec::from_json(&read(name)).expect("committed spec file parses")
 }
 
 /// Golden bits copied from `tests/golden_repro.rs` — the dense Klagenfurt
@@ -38,9 +45,11 @@ const GOLDEN_MEAN_MAX_BITS: u64 = 0x405b6c0fe3a24180;
 
 #[test]
 fn committed_specs_parse_validate_and_compile() {
-    for name in ["klagenfurt", "skopje", "megacity", "continental"] {
-        let spec = load(name);
+    for name in ["klagenfurt", "klagenfurt_flap", "skopje", "megacity", "continental"] {
+        let text = read(name);
+        let spec = ScenarioSpec::from_json(&text).expect("committed spec file parses");
         assert_eq!(spec.name, name);
+        assert_eq!(text, spec.to_json() + "\n", "specs/{name}.json is not in canonical form");
         let errors = spec.validate();
         assert!(errors.is_empty(), "{name}: {errors:?}");
         let scenario = Scenario::from_spec(&spec).expect("compiles");
@@ -90,7 +99,7 @@ fn klagenfurt_spec_file_reproduces_golden_numbers_across_pool_sizes() {
 
 #[test]
 fn serialize_deserialize_build_is_bitwise_stable() {
-    for name in ["klagenfurt", "skopje", "megacity"] {
+    for name in ["klagenfurt", "klagenfurt_flap", "skopje", "megacity"] {
         let spec = load(name);
         let round_tripped =
             ScenarioSpec::from_json(&spec.to_json()).expect("re-serialised spec parses");
