@@ -213,6 +213,12 @@ impl<'a> MobileCampaign<'a> {
         self.config
     }
 
+    /// The path sampler over the scenario's topology, shared with the
+    /// event and fault runners so every backend draws from one table.
+    pub(crate) fn sampler(&self) -> &DelaySampler<'a> {
+        &self.sampler
+    }
+
     /// The measurement targets, in campaign order (anchor first).
     pub fn targets(&self) -> &[NodeId] {
         &self.targets

@@ -34,14 +34,14 @@ use crate::campaign::{CampaignConfig, MobileCampaign, Shard};
 use crate::parallel::run_shards;
 use crate::scenario::Scenario;
 use bytes::arena::{Arena, Slice};
-use sixg_netsim::dist::{Component, DistSpec, LogNormal, Sample};
+use sixg_netsim::dist::{Component, DistSpec, Sample};
 use sixg_netsim::engine::Engine;
-use sixg_netsim::latency::{mean_queue_ms, propagation_ms, transmission_ms, PROCESSING_CV};
+use sixg_netsim::latency::DelaySampler;
 use sixg_netsim::queueing::FifoServer;
 use sixg_netsim::radio::AccessModel;
 use sixg_netsim::rng::SimRng;
 use sixg_netsim::time::{SimDuration, SimTime};
-use sixg_netsim::topology::{LinkId, NodeId, Topology};
+use sixg_netsim::topology::{LinkId, NodeId};
 use std::cell::RefCell;
 
 /// Wire size of a measurement probe, bytes — the same figure the analytic
@@ -124,12 +124,13 @@ impl AsMut<ProbeWorld> for ProbeWorld {
 }
 
 impl ProbeWorld {
-    /// A world for `probes` probes over `link_count` links, on the
-    /// worker's recycled leg arena.
-    pub(crate) fn new(link_count: usize, probes: usize) -> Self {
+    /// A world for `probes` probes over `link_slots` links, on the
+    /// worker's recycled leg arena. Servers are indexed by [`LinkId`], so
+    /// `link_slots` counts removed links too (`topo.links().len()`).
+    pub(crate) fn new(link_slots: usize, probes: usize) -> Self {
         let mut legs = LEG_ARENA.with(|a| std::mem::take(&mut *a.borrow_mut()));
         legs.reset();
-        Self { links: vec![FifoServer::new(); link_count], results: vec![f64::NAN; probes], legs }
+        Self { links: vec![FifoServer::new(); link_slots], results: vec![f64::NAN; probes], legs }
     }
 
     /// Draws probe `id`'s journey from its stream, after the caller drew
@@ -137,11 +138,13 @@ impl ProbeWorld {
     /// over `hops`, then the echo back over the same hop list (the analytic
     /// backend's rtt = one_way + one_way convention), then the air
     /// interface RTT. This is the draw order of every event-backend
-    /// sample.
+    /// sample. The deterministic terms and the queueing and processing
+    /// draws come from the campaign's `sampler`, the analytic backend's
+    /// own per-hop definitions.
     #[allow(clippy::too_many_arguments)]
     pub(crate) fn draw_probe(
         &mut self,
-        topo: &Topology,
+        sampler: &DelaySampler<'_>,
         extras: &[Component],
         hops: &[(NodeId, LinkId)],
         access: &impl AccessModel,
@@ -152,23 +155,21 @@ impl ProbeWorld {
         let mark = self.legs.mark();
         for _direction in 0..2 {
             for &(into, link) in hops {
-                let service = transmission_ms(topo, link, PROBE_BYTES);
+                let service = sampler.transmission_ms(link, PROBE_BYTES);
                 // A `normal` extra spec admits a tiny negative-sample
                 // mass (validate() bounds it at mean ≥ 4σ, ~3e-5 per
                 // draw); clamp it — a negative delay is unphysical and
                 // would panic the SimDuration conversion below.
                 let extra = extras[link.0 as usize].sample(rng).max(0.0);
-                let qmean = mean_queue_ms(topo, link);
                 // Background cross-traffic: exponential at the M/G/1
                 // mean, the analytic sampler's exact convention.
-                let queue = if qmean > 0.0 { -(1.0 - rng.unit()).ln() * qmean } else { 0.0 };
-                let proc_mean = topo.node(into).kind.base_processing_ms();
-                let proc = LogNormal::from_mean_cv(proc_mean, PROCESSING_CV).sample(rng);
+                let queue = sampler.queue_ms(link, rng);
+                let proc = sampler.processing_ms(into, rng);
                 self.legs.push(Leg {
                     link,
                     service: SimDuration::from_millis_f64(service),
                     after: SimDuration::from_millis_f64(
-                        propagation_ms(topo, link) + extra + queue + proc,
+                        sampler.propagation_ms(link) + extra + queue + proc,
                     ),
                 });
             }
@@ -252,7 +253,7 @@ impl<'a> EventCampaign<'a> {
         let key = self.campaign.shard_key(PHASE_LABEL, shard.pass, shard.cell);
 
         let mut eng: Engine<ProbeWorld> = Engine::new();
-        let mut world = ProbeWorld::new(s.topo.link_count(), n);
+        let mut world = ProbeWorld::new(s.topo.links().len(), n);
         let mut launch = SimTime::ZERO;
         for i in 0..n {
             // Every stochastic quantity of probe `i` comes from its own
@@ -262,8 +263,15 @@ impl<'a> EventCampaign<'a> {
             let mut rng = SimRng::for_stream(key.with(i as u64));
             let ti = rng.below(targets.len() as u64) as usize;
             let path = &s.routes[&(shard.cell, ti)];
-            let probe =
-                world.draw_probe(&s.topo, &self.extras, &path.hops, access, &mut rng, i, launch);
+            let probe = world.draw_probe(
+                self.campaign.sampler(),
+                &self.extras,
+                &path.hops,
+                access,
+                &mut rng,
+                i,
+                launch,
+            );
             eng.schedule_at(launch, move |e, w| advance(e, w, probe));
             launch += interval;
         }
@@ -329,6 +337,37 @@ mod tests {
             let par = with_thread_count(threads, || event_field(&s, config));
             assert_fields_bitwise_equal(&s, &seq, &par, &format!("{threads} threads"));
         }
+    }
+
+    /// Removing a link no route uses leaves a tombstone slot behind: the
+    /// FIFO servers and the sampler's table are indexed by `LinkId`, so
+    /// both must size by every link slot, not by the live-link count. Both
+    /// backends then reproduce the unremoved scenario bit for bit.
+    #[test]
+    fn removing_an_unrouted_link_changes_no_sample() {
+        let pristine = scenario();
+        let mut s = scenario();
+        let routed: std::collections::BTreeSet<LinkId> =
+            s.routes.values().flat_map(|p| p.hops.iter().map(|&(_, l)| l)).collect();
+        let unused = s
+            .topo
+            .links()
+            .iter()
+            .map(|l| l.id)
+            .find(|l| !routed.contains(l))
+            .expect("some link carries no measurement route");
+        s.topo.remove_link(unused);
+        // The live-link count no longer covers every routed link id.
+        assert!(routed.iter().any(|l| l.0 as usize >= s.topo.link_count()));
+        DelaySampler::new(&s.topo);
+
+        let config = CampaignConfig { seed: 3, passes: 1, ..Default::default() };
+        let event = EventCampaign::new(&s, config).run();
+        let expect = EventCampaign::new(&pristine, config).run();
+        assert_fields_bitwise_equal(&s, &expect, &event, "event");
+        let analytic = run_field(&s, config, ExecBackend::Analytic);
+        let expect = run_field(&pristine, config, ExecBackend::Analytic);
+        assert_fields_bitwise_equal(&s, &expect, &analytic, "analytic");
     }
 
     /// Both backends execute the identical shard list, so per-cell sample

@@ -268,7 +268,7 @@ impl<'a> FaultCampaign<'a> {
         let mut eng: Engine<FaultWorld> = Engine::new();
         let mut world = FaultWorld {
             cp: ControlPlane::converged_from_topology(&topo, &s.as_graph),
-            probes: ProbeWorld::new(s.topo.link_count(), n),
+            probes: ProbeWorld::new(s.topo.links().len(), n),
         };
 
         // The timeline slice that can still affect this shard's probes:
@@ -315,7 +315,10 @@ impl<'a> FaultCampaign<'a> {
             // Probe `i`: the plain event backend's exact draw order, but
             // the route is whatever the source AS's RIB holds *now*,
             // stitched over live links. Per-probe streams make the draws
-            // independent of every other probe's fate.
+            // independent of every other probe's fate. The delays come
+            // from the campaign's sampler over the pristine scenario
+            // topology: a resolved route crosses only live links, and a
+            // restored link gets back its pristine parameters.
             let mut rng = SimRng::for_stream(key.with(i as u64));
             let ti = rng.below(targets.len() as u64) as usize;
             let target = targets[ti];
@@ -326,7 +329,7 @@ impl<'a> FaultCampaign<'a> {
             });
             if let Some(path) = routed {
                 let probe = world.probes.draw_probe(
-                    &topo,
+                    self.campaign.sampler(),
                     &self.extras,
                     &path.hops,
                     access,

@@ -550,14 +550,25 @@ impl Scenario {
     /// calibration stream.
     pub fn wire_rtt_stats(&self, cell: CellId, n: usize) -> (f64, f64) {
         let sampler = DelaySampler::new(&self.topo);
-        let targets = self.measurement_targets();
+        self.wire_rtt_stats_with(&sampler, self.measurement_targets().len(), cell, n)
+    }
+
+    /// [`Self::wire_rtt_stats`] over a caller-built sampler and target
+    /// count, so calibration builds both once per compile, not per cell.
+    fn wire_rtt_stats_with(
+        &self,
+        sampler: &DelaySampler<'_>,
+        targets: usize,
+        cell: CellId,
+        n: usize,
+    ) -> (f64, f64) {
         let key = StreamKey::root(self.seed)
             .with_label(&self.spec.calibration.label)
             .with(self.cell_key(cell));
         let mut rng = SimRng::for_stream(key);
         let mut w = Welford::new();
         for i in 0..n {
-            let ti = i % targets.len();
+            let ti = i % targets;
             let path = &self.routes[&(cell, ti)];
             w.push(sampler.rtt_ms(&path.hops, 64, &mut rng));
         }
@@ -568,8 +579,10 @@ impl Scenario {
     /// path plus air interface reproduces the target mean/σ field.
     fn calibrate(&mut self) {
         let samples = self.spec.calibration.samples as usize;
-        for cell in self.included.clone() {
-            let (wire_mean, wire_var) = self.wire_rtt_stats(cell, samples);
+        let sampler = DelaySampler::new(&self.topo);
+        let targets = self.measurement_targets().len();
+        for &cell in &self.included {
+            let (wire_mean, wire_var) = self.wire_rtt_stats_with(&sampler, targets, cell, samples);
             let target_mean = self.targets.mean_of(cell);
             let target_std = self.targets.std_of(cell);
             let access_mean = (target_mean - wire_mean).max(1.0);

@@ -65,32 +65,98 @@ pub fn expected_link_ms(topo: &Topology, link: LinkId, into: NodeId) -> f64 {
         + topo.node(into).kind.base_processing_ms()
 }
 
+/// The deterministic delay constants of one link, tabulated by
+/// [`DelaySampler::new`].
+#[derive(Debug, Clone, Copy)]
+struct LinkConsts {
+    propagation_ms: f64,
+    mean_queue_ms: f64,
+}
+
 /// Stochastic sampler for path delays.
+///
+/// Construction tabulates every per-link and per-node constant of the
+/// draw once — [`propagation_ms`], [`mean_queue_ms`] and the processing
+/// [`LogNormal`] — from the free functions above, which stay their single
+/// definition. The sampler borrows its topology immutably, so the table
+/// cannot go stale. Removed links tabulate as NaN (a tombstone's poisoned
+/// bandwidth has no M/G/1 load); a path never crosses one.
 #[derive(Debug, Clone)]
 pub struct DelaySampler<'a> {
     topo: &'a Topology,
+    links: Vec<LinkConsts>,
+    processing: Vec<LogNormal>,
 }
 
 impl<'a> DelaySampler<'a> {
     /// Creates a sampler over a topology.
     pub fn new(topo: &'a Topology) -> Self {
-        Self { topo }
+        let links = topo
+            .links()
+            .iter()
+            .map(|l| {
+                if topo.link_removed(l.id) {
+                    LinkConsts { propagation_ms: f64::NAN, mean_queue_ms: f64::NAN }
+                } else {
+                    LinkConsts {
+                        propagation_ms: propagation_ms(topo, l.id),
+                        mean_queue_ms: mean_queue_ms(topo, l.id),
+                    }
+                }
+            })
+            .collect();
+        let processing = topo
+            .nodes()
+            .iter()
+            .map(|n| LogNormal::from_mean_cv(n.kind.base_processing_ms(), PROCESSING_CV))
+            .collect();
+        Self { topo, links, processing }
+    }
+
+    /// Deterministic propagation delay of a link, ms (tabulated
+    /// [`propagation_ms`]).
+    #[inline]
+    pub fn propagation_ms(&self, link: LinkId) -> f64 {
+        self.links[link.0 as usize].propagation_ms
+    }
+
+    /// Deterministic transmission delay for `size_bytes` on a link, ms
+    /// ([`transmission_ms`]).
+    #[inline]
+    pub fn transmission_ms(&self, link: LinkId, size_bytes: u32) -> f64 {
+        transmission_ms(self.topo, link, size_bytes)
+    }
+
+    /// Draws a link's background queueing wait, ms: exponential at the
+    /// tabulated M/G/1 mean. An idle link (zero mean) draws nothing.
+    #[inline]
+    pub fn queue_ms(&self, link: LinkId, rng: &mut SimRng) -> f64 {
+        let qmean = self.links[link.0 as usize].mean_queue_ms;
+        // Waiting time in M/G/1 is approximately exponential at moderate
+        // load; sampling it exponential with the P-K mean is the standard
+        // fast abstraction.
+        if qmean > 0.0 {
+            -(1.0 - rng.unit()).ln() * qmean
+        } else {
+            0.0
+        }
+    }
+
+    /// Draws the processing delay of the node entered, ms: lognormal
+    /// around its class's base figure at [`PROCESSING_CV`].
+    #[inline]
+    pub fn processing_ms(&self, into: NodeId, rng: &mut SimRng) -> f64 {
+        self.processing[into.0 as usize].sample(rng)
     }
 
     /// Samples the one-way delay of a single hop (traverse `link`, be
     /// processed by `into`), milliseconds.
     pub fn hop_ms(&self, link: LinkId, into: NodeId, size_bytes: u32, rng: &mut SimRng) -> f64 {
-        let p = self.topo.link(link).params;
-        let fixed = propagation_ms(self.topo, link)
-            + transmission_ms(self.topo, link, size_bytes)
-            + p.extra_ms;
-        let qmean = mean_queue_ms(self.topo, link);
-        // Waiting time in M/G/1 is approximately exponential at moderate
-        // load; sampling it exponential with the P-K mean is the standard
-        // fast abstraction.
-        let queue = if qmean > 0.0 { -(1.0 - rng.unit()).ln() * qmean } else { 0.0 };
-        let proc_mean = self.topo.node(into).kind.base_processing_ms();
-        let proc = LogNormal::from_mean_cv(proc_mean, PROCESSING_CV).sample(rng);
+        let fixed = self.propagation_ms(link)
+            + self.transmission_ms(link, size_bytes)
+            + self.topo.link(link).params.extra_ms;
+        let queue = self.queue_ms(link, rng);
+        let proc = self.processing_ms(into, rng);
         fixed + queue + proc
     }
 
@@ -199,6 +265,86 @@ mod tests {
             t.add_link(a, b, LinkParams { bandwidth_bps: 1e9, utilisation: 0.9, extra_ms: 0.0 });
         assert!(mean_queue_ms(&t, busy) > 10.0 * mean_queue_ms(&t, quiet));
         assert!(expected_link_ms(&t, busy, b) > expected_link_ms(&t, quiet, b));
+    }
+
+    /// The per-hop draw written out from the free functions: the reference
+    /// every [`DelaySampler`] draw must equal bit for bit.
+    fn reference_hop_ms(
+        t: &Topology,
+        link: LinkId,
+        into: NodeId,
+        size_bytes: u32,
+        rng: &mut SimRng,
+    ) -> f64 {
+        let fixed = propagation_ms(t, link)
+            + transmission_ms(t, link, size_bytes)
+            + t.link(link).params.extra_ms;
+        let qmean = mean_queue_ms(t, link);
+        let queue = if qmean > 0.0 { -(1.0 - rng.unit()).ln() * qmean } else { 0.0 };
+        let proc_mean = t.node(into).kind.base_processing_ms();
+        let proc = LogNormal::from_mean_cv(proc_mean, PROCESSING_CV).sample(rng);
+        fixed + queue + proc
+    }
+
+    #[test]
+    fn draws_match_the_free_function_formula_bitwise() {
+        use NodeKind::*;
+        let kinds = [
+            UserEquipment,
+            GnB,
+            Upf,
+            EdgeServer,
+            CoreRouter,
+            BorderRouter,
+            Ixp,
+            CloudDc,
+            Anchor,
+            Server,
+            UserEquipment,
+        ];
+        let mut t = Topology::new();
+        let nodes: Vec<NodeId> = kinds
+            .iter()
+            .enumerate()
+            .map(|(i, &k)| {
+                let pos = GeoPoint::new(46.6 + 0.13 * i as f64, 14.3 + 0.21 * i as f64);
+                t.add_node(k, format!("n{i}"), pos, Asn(1 + i as u32 / 4))
+            })
+            .collect();
+        let mut hops = Vec::new();
+        for (i, w) in nodes.windows(2).enumerate() {
+            let params = match i {
+                // An idle link: the `qmean == 0` branch draws no queue.
+                2 => LinkParams { bandwidth_bps: 1e9, utilisation: 0.0, extra_ms: 0.0 },
+                // A tunnelled link with a fixed extra delay.
+                5 => LinkParams { extra_ms: 1.75, ..LinkParams::transit_loaded() },
+                i if i % 2 == 0 => LinkParams::metro(),
+                _ => LinkParams::backbone(),
+            };
+            hops.push((w[1], t.add_link(w[0], w[1], params)));
+        }
+        assert_eq!(mean_queue_ms(&t, hops[2].1), 0.0);
+        let sampler = DelaySampler::new(&t);
+        let mut rng = SimRng::from_seed(0x5EED);
+        let mut reference = rng.clone();
+        for size in [64, 1500] {
+            for &(into, link) in &hops {
+                let got = sampler.hop_ms(link, into, size, &mut rng);
+                let want = reference_hop_ms(&t, link, into, size, &mut reference);
+                assert_eq!(got.to_bits(), want.to_bits(), "hop into {into:?} via {link:?}");
+            }
+            let got = sampler.rtt_ms(&hops, size, &mut rng);
+            let mut want = 0.0;
+            for _direction in 0..2 {
+                let mut one_way = 0.0;
+                for &(into, link) in &hops {
+                    one_way += reference_hop_ms(&t, link, into, size, &mut reference);
+                }
+                want += one_way;
+            }
+            assert_eq!(got.to_bits(), want.to_bits(), "rtt at {size} B");
+        }
+        assert_eq!(rng.unit().to_bits(), reference.unit().to_bits(), "streams advanced equally");
     }
 
     #[test]
