@@ -173,6 +173,28 @@ fn invalid_sweep_exits_one() {
 }
 
 #[test]
+fn sweep_path_unresolvable_in_one_variant_exits_one() {
+    // Both paths resolve against the base, but the first axis empties
+    // `$.faults` in variant 0, so the second no longer resolves there.
+    let sweep = TempFile::with_content(
+        "sweep-variant-path.json",
+        &format!(
+            r#"{{"name": "reshaping-sweep", "base": "{}",
+                "axes": [{{"kind": "override", "path": "$.faults", "values": [[]]}},
+                         {{"kind": "override", "path": "$.faults[0].recover_at_s",
+                           "values": [1500.0]}}]}}"#,
+            specs_dir().join("klagenfurt_flap.json").display()
+        ),
+    );
+    let out = run(&["sweep", sweep.path()]);
+    assert_eq!(code(&out), 1);
+    let err = stderr(&out);
+    assert!(err.contains("$.axes[1].path"), "{err}");
+    assert!(err.contains("variant `$.faults=[]"), "{err}");
+    assert!(!err.contains("panicked"), "{err}");
+}
+
+#[test]
 fn valid_spec_validates_with_exit_zero() {
     let spec = specs_dir().join("klagenfurt.json");
     let out = run(&["validate", spec.to_str().unwrap()]);

@@ -5,9 +5,8 @@
 //! over the scenario's *static* Gao–Rexford fixed point. This runner
 //! executes the same campaign — same shard list, same
 //! `(seed, pass, cell, sample)` stream keys, same per-probe draw order —
-//! but applies the spec's validated [`FaultDef`](crate::spec::FaultDef)
-//! schedule mid-campaign and
-//! lets the routes *emerge* from the message-level BGP speakers of
+//! but applies a validated [`FaultDef`] schedule mid-campaign and lets
+//! the routes *emerge* from the message-level BGP speakers of
 //! [`sixg_netsim::routing::dynamic`]:
 //!
 //! * each shard knows its start offset on the per-pass traversal clock
@@ -33,15 +32,24 @@
 //! draws. A fault-free run is therefore bitwise identical to the plain
 //! event backend, and post-recovery shards of a faulted run are bitwise
 //! identical to an unfaulted run of the same spec (the `repro_faults`
-//! gate). Shards rebuild their converged control plane independently, so
-//! the parallel runner stays bitwise equal to the sequential one at every
-//! pool size.
+//! gate).
+//!
+//! A shard's pre-window state is just the set of faulted links that are
+//! down when its window opens. Every such down-set's topology, converged
+//! control plane and steady routes are built once, in a `FaultStates`
+//! table shared by every shard (and, in a sweep, by every run over one
+//! compiled scenario); a shard copies the topology or the plane only when
+//! a transition lands inside its window and writes to them. A state is a
+//! pure function of (scenario, down-set), so which shard fills it cannot
+//! matter: the parallel runner stays bitwise equal to the sequential one
+//! at every pool size.
 
 use crate::aggregate::CellField;
 use crate::campaign::{CampaignConfig, MobileCampaign, Shard};
 use crate::event_backend::{advance, ProbeWorld, PHASE_LABEL};
 use crate::parallel::run_items_streaming;
 use crate::scenario::Scenario;
+use crate::spec::FaultDef;
 use sixg_geo::CellId;
 use sixg_netsim::dist::{Component, DistSpec};
 use sixg_netsim::engine::Engine;
@@ -51,8 +59,10 @@ use sixg_netsim::routing::dynamic::{
 };
 use sixg_netsim::routing::{PathComputer, RoutedPath};
 use sixg_netsim::time::{SimDuration, SimTime};
-use sixg_netsim::topology::{Asn, LinkId, LinkParams, Topology};
-use std::collections::BTreeMap;
+use sixg_netsim::topology::{Asn, LinkId, LinkParams, NodeId, Topology};
+use std::borrow::Cow;
+use std::collections::{BTreeMap, BTreeSet};
+use std::sync::{Arc, OnceLock};
 
 /// One campaign shard plus its start offset on the per-pass traversal
 /// clock — the extra coordinate the fault timeline is resolved against.
@@ -76,9 +86,11 @@ struct LinkChange {
 
 /// The per-shard world: the BGP control plane next to the event backend's
 /// probe state. `'static`, so control-plane message events and probe legs
-/// share one calendar.
+/// share one calendar. The plane starts as the shared converged state's
+/// and is copied on its first write — only a link transition inside the
+/// window (and the messages it sets off) ever writes it.
 struct FaultWorld {
-    cp: ControlPlane,
+    cp: Arc<ControlPlane>,
     probes: ProbeWorld,
 }
 
@@ -87,7 +99,7 @@ impl HasControlPlane for FaultWorld {
         &self.cp
     }
     fn control_plane_mut(&mut self) -> &mut ControlPlane {
-        &mut self.cp
+        Arc::make_mut(&mut self.cp)
     }
 }
 
@@ -97,13 +109,9 @@ impl AsMut<ProbeWorld> for FaultWorld {
     }
 }
 
-/// The fault-aware event campaign runner over a spec-compiled
-/// [`Scenario`]. Compiles the spec's fault schedule once (link names →
-/// ids, overlapping intervals merged); each shard then replays the slice
-/// of the timeline that intersects its dwell window.
-pub struct FaultCampaign<'a> {
-    campaign: MobileCampaign<'a>,
-    extras: Vec<Component>,
+/// A fault schedule compiled against a scenario: link names resolved to
+/// ids and overlapping intervals merged per link into state changes.
+pub(crate) struct FaultSchedule {
     /// Merged link state changes, ordered by (time, link).
     changes: Vec<LinkChange>,
     /// Pristine parameters of every faulted link (restore needs them —
@@ -111,14 +119,13 @@ pub struct FaultCampaign<'a> {
     params: BTreeMap<LinkId, LinkParams>,
 }
 
-impl<'a> FaultCampaign<'a> {
-    /// Creates a fault-aware campaign over a scenario. The scenario's spec
-    /// is already validated, so every fault names a declared link.
-    pub fn new(scenario: &'a Scenario, config: CampaignConfig) -> Self {
-        let extras = scenario.link_extra_specs().iter().map(DistSpec::build).collect();
+impl FaultSchedule {
+    /// Compiles `faults` against `scenario`. The faults are already
+    /// validated against the scenario's spec, so each names a declared link.
+    pub(crate) fn new(scenario: &Scenario, faults: &[FaultDef]) -> Self {
         let mut params = BTreeMap::new();
         let mut edges: BTreeMap<LinkId, Vec<(f64, i32)>> = BTreeMap::new();
-        for fault in &scenario.spec.faults {
+        for fault in faults {
             let idx = scenario
                 .spec
                 .fault_link_index(fault)
@@ -147,7 +154,133 @@ impl<'a> FaultCampaign<'a> {
             }
         }
         changes.sort_by(|a, b| a.at_s.total_cmp(&b.at_s).then(a.link.cmp(&b.link)));
-        Self { campaign: MobileCampaign::new(scenario, config), extras, changes, params }
+        Self { changes, params }
+    }
+
+    /// Every down-set a shard window can open in: the empty set before the
+    /// first change, then the set after each change. A shard starting at
+    /// `t0` sees exactly the changes strictly before `t0` — a prefix of
+    /// the ordered list — so its down-set is one of these.
+    pub(crate) fn down_sets(&self) -> Vec<Vec<LinkId>> {
+        let mut down = BTreeSet::new();
+        let mut out = vec![Vec::new()];
+        for c in &self.changes {
+            if c.up {
+                down.remove(&c.link);
+            } else {
+                down.insert(c.link);
+            }
+            out.push(down.iter().copied().collect());
+        }
+        out
+    }
+}
+
+/// The route a probe from `ue` (in `src_as`) to `target` rides now: the
+/// source AS's best RIB entry, stitched over the live links of `topo`.
+/// `None` is a blackhole.
+fn resolve_route(
+    cp: &ControlPlane,
+    topo: &Topology,
+    s: &Scenario,
+    ue: NodeId,
+    src_as: Asn,
+    target: NodeId,
+) -> Option<RoutedPath> {
+    cp.best_route(src_as, topo.node(target).asn)
+        .and_then(|as_path| PathComputer::new(topo, &s.as_graph).route_along(ue, target, &as_path))
+}
+
+/// One pre-window fault state of a scenario: the links down when a shard's
+/// window opens, converged.
+struct FaultState {
+    /// The scenario topology with the down links removed.
+    topo: Topology,
+    /// The control plane converged over `topo`, with no message in flight.
+    cp: Arc<ControlPlane>,
+    /// Per UE cell, the route to each target index under `cp` and `topo`
+    /// (blackholes included), resolved on the first shard that needs it.
+    rows: BTreeMap<CellId, OnceLock<Vec<Option<RoutedPath>>>>,
+}
+
+impl FaultState {
+    /// The steady routes from `cell`'s UE to `targets`, in target order.
+    fn row(&self, s: &Scenario, cell: CellId, targets: &[NodeId]) -> &[Option<RoutedPath>] {
+        self.rows[&cell].get_or_init(|| {
+            let ue = s.ue[&cell];
+            let src_as = s.topo.node(ue).asn;
+            targets.iter().map(|&t| resolve_route(&self.cp, &self.topo, s, ue, src_as, t)).collect()
+        })
+    }
+}
+
+/// The converged fault states campaigns over one compiled scenario can
+/// open a shard window in, keyed by their sorted down [`LinkId`]s.
+///
+/// The key set is fixed at construction, before any shard runs; entries
+/// and per-cell route rows fill lazily through [`OnceLock`], so shards
+/// running in parallel share them without a lock. A state is a pure
+/// function of (scenario, down-set), so the thread that fills it cannot
+/// change a bit. The table lives next to the runners, never on
+/// [`Scenario`]: callers mutate `scenario.topo` in place, which would
+/// leave a table stored there stale.
+pub(crate) struct FaultStates {
+    states: BTreeMap<Vec<LinkId>, OnceLock<FaultState>>,
+}
+
+impl FaultStates {
+    /// An empty table for exactly the down-sets in `keys`.
+    pub(crate) fn new(keys: impl IntoIterator<Item = Vec<LinkId>>) -> Self {
+        Self { states: keys.into_iter().map(|k| (k, OnceLock::new())).collect() }
+    }
+
+    /// The converged state of `s` with the links of `down` removed.
+    fn get(&self, s: &Scenario, down: &[LinkId]) -> &FaultState {
+        self.states.get(down).expect("down-set registered before sampling").get_or_init(|| {
+            let mut topo = s.topo.clone();
+            for &link in down {
+                topo.remove_link(link);
+            }
+            let cp = Arc::new(ControlPlane::converged_from_topology(&topo, &s.as_graph));
+            let rows = s.ue.keys().map(|&cell| (cell, OnceLock::new())).collect();
+            FaultState { topo, cp, rows }
+        })
+    }
+}
+
+/// The fault-aware event campaign runner over a spec-compiled
+/// [`Scenario`]. Compiles a fault schedule once (link names → ids,
+/// overlapping intervals merged); each shard then replays the slice of
+/// the timeline that intersects its dwell window, starting from its
+/// down-set's shared converged state.
+pub struct FaultCampaign<'a> {
+    campaign: MobileCampaign<'a>,
+    extras: Vec<Component>,
+    schedule: FaultSchedule,
+    states: Arc<FaultStates>,
+}
+
+impl<'a> FaultCampaign<'a> {
+    /// Creates a fault-aware campaign running the scenario spec's own
+    /// schedule, with a private state table. The scenario's spec is
+    /// already validated, so every fault names a declared link.
+    pub fn new(scenario: &'a Scenario, config: CampaignConfig) -> Self {
+        let schedule = FaultSchedule::new(scenario, &scenario.spec.faults);
+        let states = Arc::new(FaultStates::new(schedule.down_sets()));
+        Self::with_states(scenario, config, schedule, states)
+    }
+
+    /// Creates a campaign running `schedule` over `scenario`, drawing its
+    /// converged states from `states`, which must hold every down-set of
+    /// [`FaultSchedule::down_sets`].
+    pub(crate) fn with_states(
+        scenario: &'a Scenario,
+        config: CampaignConfig,
+        schedule: FaultSchedule,
+        states: Arc<FaultStates>,
+    ) -> Self {
+        let extras = scenario.link_extra_specs().iter().map(DistSpec::build).collect();
+        Self { campaign: MobileCampaign::new(scenario, config), extras, schedule, states }
     }
 
     /// Whether `link` is down at `t_s` seconds into a pass (state changes
@@ -155,7 +288,7 @@ impl<'a> FaultCampaign<'a> {
     /// starting there).
     fn link_down_at(&self, link: LinkId, t_s: f64) -> bool {
         let mut down = false;
-        for c in &self.changes {
+        for c in &self.schedule.changes {
             if c.link == link && c.at_s < t_s {
                 down = !c.up;
             }
@@ -168,7 +301,7 @@ impl<'a> FaultCampaign<'a> {
     pub fn outages(&self) -> Vec<(f64, Option<f64>)> {
         let mut out = Vec::new();
         let mut open: BTreeMap<LinkId, f64> = BTreeMap::new();
-        for c in &self.changes {
+        for c in &self.schedule.changes {
             if c.up {
                 if let Some(start) = open.remove(&c.link) {
                     out.push((start, Some(c.at_s)));
@@ -228,7 +361,7 @@ impl<'a> FaultCampaign<'a> {
         let graph = &self.campaign.scenario().as_graph;
         let before = sessions_from_topology(topo, graph);
         if change.up {
-            topo.restore_link(change.link, self.params[&change.link]);
+            topo.restore_link(change.link, self.schedule.params[&change.link]);
         } else {
             topo.remove_link(change.link);
         }
@@ -255,19 +388,23 @@ impl<'a> FaultCampaign<'a> {
         let ue = s.ue[&fs.shard.cell];
         let src_as = s.topo.node(ue).asn;
 
-        // Shard-local topology with the pre-window fault state installed,
-        // and the control plane already at that state's fixed point (a
-        // transient from an earlier shard's window has had whole seconds
-        // of calendar to settle — reconvergence takes milliseconds).
-        let mut topo = s.topo.clone();
-        for &link in self.params.keys() {
-            if self.link_down_at(link, fs.t0_s) {
-                topo.remove_link(link);
-            }
-        }
+        // The pre-window fault state, already converged (a transient from
+        // an earlier shard's window has had whole seconds of calendar to
+        // settle — reconvergence takes milliseconds). Its topology and
+        // plane are shared, and copied only if a change lands inside the
+        // window.
+        let down: Vec<LinkId> = self
+            .schedule
+            .params
+            .keys()
+            .copied()
+            .filter(|&link| self.link_down_at(link, fs.t0_s))
+            .collect();
+        let state = self.states.get(s, &down);
+        let mut topo = Cow::Borrowed(&state.topo);
         let mut eng: Engine<FaultWorld> = Engine::new();
         let mut world = FaultWorld {
-            cp: ControlPlane::converged_from_topology(&topo, &s.as_graph),
+            cp: Arc::clone(&state.cp),
             probes: ProbeWorld::new(s.topo.links().len(), n),
         };
 
@@ -276,6 +413,7 @@ impl<'a> FaultCampaign<'a> {
         // shard-local clock (t0 ↦ SimTime::ZERO).
         let last_launch_s = (n - 1) as f64 * interval_s;
         let mut transitions = self
+            .schedule
             .changes
             .iter()
             .filter(|c| c.at_s >= fs.t0_s && c.at_s - fs.t0_s <= last_launch_s)
@@ -289,8 +427,14 @@ impl<'a> FaultCampaign<'a> {
         // change only when a BGP message is delivered (which bumps
         // `messages_delivered` first) or a session flaps, and sessions and
         // topology change only in `apply_change`. So the memo holds while
-        // `(messages delivered, changes applied)` stays put.
-        let mut routes: Vec<Option<Option<RoutedPath>>> = vec![None; targets.len()];
+        // `(messages delivered, changes applied)` stays put — and starts
+        // out as the state's steady row, resolved under exactly the
+        // plane and topology the shard starts from.
+        let mut routes: Vec<Option<Cow<'_, Option<RoutedPath>>>> = state
+            .row(s, fs.shard.cell, targets)
+            .iter()
+            .map(|route| Some(Cow::Borrowed(route)))
+            .collect();
         let mut applied = 0usize;
         let mut filled_under = (world.cp.messages_delivered(), applied);
 
@@ -302,7 +446,7 @@ impl<'a> FaultCampaign<'a> {
                 }
                 transitions.next();
                 eng.run_until(&mut world, at);
-                self.apply_change(&mut topo, &mut eng, &mut world, change);
+                self.apply_change(topo.to_mut(), &mut eng, &mut world, change);
                 applied += 1;
             }
             eng.run_until(&mut world, launch);
@@ -323,11 +467,9 @@ impl<'a> FaultCampaign<'a> {
             let ti = rng.below(targets.len() as u64) as usize;
             let target = targets[ti];
             let routed = routes[ti].get_or_insert_with(|| {
-                world.cp.best_route(src_as, topo.node(target).asn).and_then(|as_path| {
-                    PathComputer::new(&topo, &s.as_graph).route_along(ue, target, &as_path)
-                })
+                Cow::Owned(resolve_route(&world.cp, &topo, s, ue, src_as, target))
             });
-            if let Some(path) = routed {
+            if let Some(path) = &**routed {
                 let probe = world.probes.draw_probe(
                     self.campaign.sampler(),
                     &self.extras,
@@ -389,7 +531,6 @@ mod tests {
     use crate::event_backend::EventCampaign;
     use crate::klagenfurt::{klagenfurt_flap_spec, klagenfurt_spec};
     use crate::parallel::with_thread_count;
-    use crate::spec::FaultDef;
 
     fn config() -> CampaignConfig {
         CampaignConfig { seed: 2, passes: 1, sample_interval_s: 2.0 }
@@ -500,6 +641,79 @@ mod tests {
                 crate::exec::run_field(&s, config(), crate::spec::ExecBackend::Event)
             });
             assert_fields_bitwise_equal(&s, &seq, &par, &format!("{threads} threads"));
+        }
+    }
+
+    /// Every shard's samples, in `order`, on one campaign.
+    fn shard_samples(fc: &FaultCampaign, order: &[FaultShard]) -> Vec<Vec<f64>> {
+        order
+            .iter()
+            .map(|&fs| {
+                let mut out = Vec::new();
+                fc.collect_shard_into(fs, &mut out);
+                out
+            })
+            .collect()
+    }
+
+    fn assert_samples_bitwise_equal(a: &[Vec<f64>], b: &[Vec<f64>], context: &str) {
+        assert_eq!(a.len(), b.len(), "{context}: shard count");
+        for (i, (x, y)) in a.iter().zip(b).enumerate() {
+            let bits = |v: &[f64]| v.iter().map(|f| f.to_bits()).collect::<Vec<_>>();
+            assert_eq!(bits(x), bits(y), "{context}: shard {i}");
+        }
+    }
+
+    /// The shared states fill lazily in whatever order shards arrive; the
+    /// samples cannot depend on that order.
+    #[test]
+    fn shard_samples_do_not_depend_on_state_fill_order() {
+        let s = Scenario::from_spec(klagenfurt_flap_spec()).expect("compiles");
+        let forward = FaultCampaign::new(&s, config());
+        let shards = forward.shards();
+        let mut reversed: Vec<FaultShard> = shards.clone();
+        reversed.reverse();
+        let mut backward = shard_samples(&FaultCampaign::new(&s, config()), &reversed);
+        backward.reverse();
+        assert_samples_bitwise_equal(&shard_samples(&forward, &shards), &backward, "reversed");
+    }
+
+    /// Campaigns with different recovery times over one scenario give the
+    /// same bits whether they share one state table or use private ones.
+    #[test]
+    fn shared_fault_states_equal_private_ones_bitwise() {
+        let s = Scenario::from_spec(klagenfurt_flap_spec()).expect("compiles");
+        let schedules: Vec<Vec<FaultDef>> = [2500.0, 1500.0]
+            .iter()
+            .map(|&r| {
+                let mut faults = s.spec.faults.clone();
+                faults[0].recover_at_s = Some(r);
+                faults
+            })
+            .collect();
+        let keys: BTreeSet<Vec<LinkId>> =
+            schedules.iter().flat_map(|f| FaultSchedule::new(&s, f).down_sets()).collect();
+        let shared = Arc::new(FaultStates::new(keys));
+        for faults in &schedules {
+            let private = FaultCampaign::with_states(
+                &s,
+                config(),
+                FaultSchedule::new(&s, faults),
+                Arc::new(FaultStates::new(FaultSchedule::new(&s, faults).down_sets())),
+            );
+            let sharing = FaultCampaign::with_states(
+                &s,
+                config(),
+                FaultSchedule::new(&s, faults),
+                Arc::clone(&shared),
+            );
+            let shards = private.shards();
+            let context = format!("recover_at_s {:?}", faults[0].recover_at_s);
+            assert_samples_bitwise_equal(
+                &shard_samples(&private, &shards),
+                &shard_samples(&sharing, &shards),
+                &context,
+            );
         }
     }
 

@@ -47,12 +47,13 @@ use crate::aggregate::CellField;
 use crate::campaign::{CampaignConfig, MobileCampaign, Shard};
 use crate::event_backend::{crossval_tolerance_ms, EventCampaign, CROSSVAL_GRAND_MEAN_TOL};
 use crate::exec::ScenarioCache;
-use crate::faults::{FaultCampaign, FaultShard};
+use crate::faults::{FaultCampaign, FaultSchedule, FaultShard, FaultStates};
 use crate::parallel::run_items_streaming;
 use crate::report::CellSummary;
 use crate::scenario::Scenario;
-use crate::spec::{parse_backend, Ctx, ErrorCode, ExecBackend, ScenarioSpec, SpecError};
+use crate::spec::{parse_backend, Ctx, ErrorCode, ExecBackend, FaultDef, ScenarioSpec, SpecError};
 use serde::{Serialize, Value};
+use std::collections::BTreeSet;
 use std::sync::Arc;
 
 /// Default latency requirement the sweep's exceedance figures are judged
@@ -668,12 +669,23 @@ impl Sweep {
             rem /= counts[ai];
         }
 
-        // Generic JSON-path overrides mutate the base value tree …
+        let settings: Vec<String> =
+            axes.iter().zip(&choices).map(|(axis, &choice)| axis.choice_label(choice)).collect();
+        let label = if settings.is_empty() { "base".to_string() } else { settings.join(" · ") };
+
+        // Generic JSON-path overrides mutate the base value tree. Each path
+        // resolved against the base in `Sweep::new`, but an earlier axis
+        // can reshape the tree (`$.faults: []` before `$.faults[0].…`).
         let mut tree = self.base_value.clone();
-        for (axis, &choice) in axes.iter().zip(&choices) {
+        for (i, (axis, &choice)) in axes.iter().zip(&choices).enumerate() {
             if let AxisDef::Override { path, values } = axis {
                 let segs = parse_json_path(path).expect("validated path");
-                let slot = resolve_mut(&mut tree, &segs).expect("resolved in Sweep::new");
+                let slot = resolve_mut(&mut tree, &segs).map_err(|m| {
+                    SpecError::new(
+                        format!("$.axes[{i}].path"),
+                        format!("variant `{label}`: override path {path} does not resolve: {m}"),
+                    )
+                })?;
                 *slot = values[choice].clone();
             }
         }
@@ -694,10 +706,6 @@ impl Sweep {
                 }
             }
         }
-
-        let settings: Vec<String> =
-            axes.iter().zip(&choices).map(|(axis, &choice)| axis.choice_label(choice)).collect();
-        let label = if settings.is_empty() { "base".to_string() } else { settings.join(" · ") };
 
         if let Some(e) = spec.validate().into_iter().next() {
             return Err(SpecError::new(e.path, format!("variant `{label}`: {}", e.message)));
@@ -737,8 +745,10 @@ impl Sweep {
         mut cache: Option<&mut ScenarioCache>,
     ) -> Result<RunPlan, SpecError> {
         // Scenario compilation, deduplicated on everything except campaign
-        // parameters and backend (which `compile` does not consume): a
-        // cadence × backend × seed sweep calibrates its site exactly once.
+        // parameters, backend and fault schedule (which `compile` does not
+        // consume): a cadence × backend × seed × recovery-time sweep
+        // calibrates its site exactly once. Each run carries its own
+        // schedule in its `RunMeta`.
         let mut canon: Vec<ScenarioSpec> = Vec::new();
         let mut scenarios: Vec<Arc<Scenario>> = Vec::new();
         fn intern(
@@ -747,14 +757,15 @@ impl Sweep {
             scenarios: &mut Vec<Arc<Scenario>>,
             cache: &mut Option<&mut ScenarioCache>,
         ) -> Result<usize, SpecError> {
-            let key = spec.compile_key();
+            let core = ScenarioSpec { faults: Vec::new(), ..spec.clone() };
+            let key = core.compile_key();
             if let Some(i) = canon.iter().position(|k| *k == key) {
                 return Ok(i);
             }
             canon.push(key);
             scenarios.push(match cache.as_deref_mut() {
-                Some(c) => c.get_or_compile(spec)?,
-                None => Arc::new(Scenario::from_spec(spec)?),
+                Some(c) => c.get_or_compile(&core)?,
+                None => Arc::new(Scenario::from_spec(&core)?),
             });
             Ok(scenarios.len() - 1)
         }
@@ -771,6 +782,7 @@ impl Sweep {
             scen: intern(&self.base, &mut canon, &mut scenarios, &mut cache)?,
             backend: base_backend,
             config: base_config,
+            faults: self.base.faults.clone(),
             label: "base".into(),
             settings: Vec::new(),
             choices: Vec::new(),
@@ -781,6 +793,7 @@ impl Sweep {
                 scen: intern(&var.spec, &mut canon, &mut scenarios, &mut cache)?,
                 backend: var.backend,
                 config: var.config,
+                faults: var.spec.faults,
                 label: var.label,
                 settings: var.settings,
                 choices: var.choices,
@@ -821,6 +834,9 @@ pub(crate) struct RunMeta {
     pub(crate) backend: ExecBackend,
     /// Campaign configuration.
     pub(crate) config: CampaignConfig,
+    /// The run's own fault schedule (its compiled scenario is shared
+    /// across schedules and carries none).
+    pub(crate) faults: Vec<FaultDef>,
     /// Variant label (`"base"` for run 0).
     pub(crate) label: String,
     /// Per-axis `target=value` settings (empty for run 0).
@@ -865,8 +881,13 @@ pub(crate) struct FaultedRunner<'a> {
 }
 
 impl<'a> FaultedRunner<'a> {
-    fn new(scenario: &'a Scenario, config: CampaignConfig) -> Self {
-        let campaign = FaultCampaign::new(scenario, config);
+    fn new(
+        scenario: &'a Scenario,
+        config: CampaignConfig,
+        schedule: FaultSchedule,
+        states: Arc<FaultStates>,
+    ) -> Self {
+        let campaign = FaultCampaign::with_states(scenario, config, schedule, states);
         let t0_by_shard = campaign
             .shards()
             .into_iter()
@@ -901,24 +922,50 @@ impl Runner<'_> {
 
 impl RunPlan {
     /// Instantiates every run's campaign runner. The dispatch mirrors
-    /// [`crate::exec::run_field`]: an event run over a spec with a
-    /// fault schedule gets the live control plane, so fault axes (e.g.
-    /// sweeping `$.faults[0].recover_at_s`) measure real convergence
-    /// transients instead of silently ignoring the schedule.
+    /// [`crate::exec::run_field`]: an event run with a fault schedule
+    /// gets the live control plane, so fault axes (e.g. sweeping
+    /// `$.faults[0].recover_at_s`) measure real convergence transients
+    /// instead of silently ignoring the schedule.
+    ///
+    /// The faulted runs over one compiled scenario share one
+    /// [`FaultStates`] table, keyed by the union of their down-sets — fixed
+    /// here, before any shard runs.
     pub(crate) fn runners(&self) -> Vec<Runner<'_>> {
-        self.runs
+        let schedules: Vec<Option<FaultSchedule>> = self
+            .runs
             .iter()
             .map(|r| {
+                (r.backend == ExecBackend::Event && !r.faults.is_empty())
+                    .then(|| FaultSchedule::new(&self.scenarios[r.scen], &r.faults))
+            })
+            .collect();
+        let mut down_sets = vec![BTreeSet::new(); self.scenarios.len()];
+        for (r, schedule) in self.runs.iter().zip(&schedules) {
+            if let Some(schedule) = schedule {
+                down_sets[r.scen].extend(schedule.down_sets());
+            }
+        }
+        let states: Vec<Arc<FaultStates>> =
+            down_sets.into_iter().map(|keys| Arc::new(FaultStates::new(keys))).collect();
+        self.runs
+            .iter()
+            .zip(schedules)
+            .map(|(r, schedule)| {
                 let scenario: &Scenario = &self.scenarios[r.scen];
-                match r.backend {
-                    ExecBackend::Analytic => {
+                match (r.backend, schedule) {
+                    (ExecBackend::Analytic, _) => {
                         Runner::Analytic(MobileCampaign::new(scenario, r.config))
                     }
-                    ExecBackend::Event if scenario.spec.faults.is_empty() => {
+                    (ExecBackend::Event, None) => {
                         Runner::Event(EventCampaign::new(scenario, r.config))
                     }
-                    ExecBackend::Event => {
-                        Runner::Faulted(Box::new(FaultedRunner::new(scenario, r.config)))
+                    (ExecBackend::Event, Some(schedule)) => {
+                        Runner::Faulted(Box::new(FaultedRunner::new(
+                            scenario,
+                            r.config,
+                            schedule,
+                            Arc::clone(&states[r.scen]),
+                        )))
                     }
                 }
             })
@@ -1188,7 +1235,7 @@ impl SweepRun {
 mod tests {
     use super::*;
     use crate::exec::run_field;
-    use crate::klagenfurt::klagenfurt_spec;
+    use crate::klagenfurt::{klagenfurt_flap_spec, klagenfurt_spec};
     use crate::parallel::with_thread_count;
 
     /// A Klagenfurt base trimmed to `passes` traversals, as JSON.
@@ -1325,6 +1372,127 @@ mod tests {
             }
         }
         assert_eq!(run.report.variants[0].delta_grand_mean_ms, 0.0);
+    }
+
+    /// Asserts two fields bitwise equal on every cell of `grid`.
+    fn assert_fields_bitwise_equal(
+        grid: &sixg_geo::GridSpec,
+        want: &CellField,
+        got: &CellField,
+        ctx: &str,
+    ) {
+        for cell in grid.cells() {
+            let (w, g) = (want.stats(cell), got.stats(cell));
+            assert_eq!(w.count, g.count, "{ctx}: cell {cell} count");
+            assert_eq!(w.mean_ms.to_bits(), g.mean_ms.to_bits(), "{ctx}: cell {cell} mean");
+            assert_eq!(w.std_ms.to_bits(), g.std_ms.to_bits(), "{ctx}: cell {cell} std");
+        }
+    }
+
+    /// The flap spec's fault list with recovery at `recover_at_s`, as a
+    /// `$.faults` override value.
+    fn flap(recover_at_s: f64) -> Value {
+        serde_json::from_str(&format!(
+            r#"[{{"link": ["cdn77-core-vie", "zetservers-prg"], "at_s": 900.0, "recover_at_s": {recover_at_s:?}}}]"#
+        ))
+        .expect("fault list parses")
+    }
+
+    /// Every run executes its own fault schedule: a `$.faults` axis over
+    /// the flap base (no fault, recovery at 2500 s, recovery at 1500 s)
+    /// gives each variant exactly the field of a plain run of its own
+    /// spec, even though all three share one compiled scenario.
+    #[test]
+    fn fault_schedule_axis_runs_each_variant_own_schedule() {
+        let mut base = klagenfurt_flap_spec().clone();
+        base.campaign.passes = 1;
+        base.campaign.sample_interval_s = 4.0;
+        let sweep = Sweep::new(
+            sweep_spec(vec![AxisDef::Override {
+                path: "$.faults".into(),
+                values: vec![Value::Array(Vec::new()), flap(2500.0), flap(1500.0)],
+            }]),
+            &base.to_json(),
+        )
+        .expect("valid sweep");
+        let variants = sweep.variants().expect("compiles");
+        assert_eq!(variants.len(), 3);
+        assert!(variants[0].spec.faults.is_empty());
+        assert_eq!(variants[2].spec.faults[0].recover_at_s, Some(1500.0));
+
+        // Schedules stay out of compilation: one core serves all four runs.
+        assert_eq!(sweep.plan().expect("plans").scenarios.len(), 1);
+
+        let run = sweep.run().expect("runs");
+        let runs = std::iter::once((&sweep.base, base_config(&sweep.base), &run.base_field))
+            .chain(variants.iter().zip(&run.variant_fields).map(|(v, f)| (&v.spec, v.config, f)));
+        for (i, (spec, config, field)) in runs.enumerate() {
+            let scenario = Scenario::from_spec(spec).expect("compiles");
+            let want = run_field(&scenario, config, ExecBackend::Event);
+            assert_fields_bitwise_equal(&scenario.grid, &want, field, &format!("run {i}"));
+        }
+    }
+
+    /// `mega_klagenfurt` compiles once per density factor: its
+    /// `recover_at_s` axis no longer splits the compile key.
+    #[test]
+    fn recovery_axis_shares_compiles() {
+        let path = concat!(env!("CARGO_MANIFEST_DIR"), "/../../specs/sweeps/mega_klagenfurt.json");
+        let sweep = Sweep::from_file(path).expect("valid sweep");
+        let plan = sweep.plan().expect("plans");
+        assert_eq!(plan.runs.len(), 121);
+        assert_eq!(plan.scenarios.len(), 3);
+    }
+
+    /// An override path that resolves against the base but not after an
+    /// earlier axis reshaped the tree is a coded error at the axis path,
+    /// naming the variant — from planning, in-memory and checkpointed
+    /// execution alike, never a panic.
+    #[test]
+    fn override_path_unresolvable_in_a_variant_is_a_coded_error() {
+        let mut base = klagenfurt_flap_spec().clone();
+        base.campaign.passes = 1;
+        let sweep = Sweep::new(
+            sweep_spec(vec![
+                AxisDef::Override {
+                    path: "$.faults".into(),
+                    values: vec![Value::Array(Vec::new()), flap(2500.0)],
+                },
+                AxisDef::Override {
+                    path: "$.faults[0].recover_at_s".into(),
+                    values: vec![Value::F64(1500.0)],
+                },
+            ]),
+            &base.to_json(),
+        )
+        .expect("both paths resolve against the base");
+        let check = |e: &SpecError| {
+            assert_eq!(e.path, "$.axes[1].path", "{e}");
+            assert_eq!(e.code, ErrorCode::Validation, "{e}");
+            assert!(e.message.contains("variant `$.faults=[]"), "{e}");
+            assert!(e.message.contains("does not resolve"), "{e}");
+        };
+        let Err(e) = sweep.plan() else { panic!("plan must fail") };
+        check(&e);
+        let Err(e) = sweep.run() else { panic!("run must fail") };
+        check(&e);
+        let dir =
+            std::env::temp_dir().join(format!("sixg-sweep-unresolvable-{}", std::process::id()));
+        let cfg = crate::store::CheckpointConfig::new(&dir);
+        match crate::store::run_checkpointed(&sweep, &cfg) {
+            Err(crate::store::CheckpointError::Spec(e)) => check(&e),
+            Err(e) => panic!("expected a spec error, got {e}"),
+            Ok(_) => panic!("expected a spec error, got a run"),
+        }
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    fn base_config(spec: &ScenarioSpec) -> CampaignConfig {
+        CampaignConfig {
+            seed: spec.campaign.seed,
+            sample_interval_s: spec.campaign.sample_interval_s,
+            passes: spec.campaign.passes,
+        }
     }
 
     /// The ordering contract: axes enumerate like an odometer with the
